@@ -59,6 +59,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripos",
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="constant five-term weights alpha,beta,gamma,e,f,g,h")
     src.add_argument("--scheme-file", metavar="PATH", help="JSON coefficient scheme file")
     gen.add_argument("--s", type=_positive_int, default=None, help="s for the s_pascal preset")
-    gen.add_argument("--n", type=int, required=True, help="largest row index to generate")
+    gen.add_argument("--n", type=_nonnegative_int, required=True, help="largest row index to generate")
     gen.add_argument("--out", metavar="PATH", help="output path (default: stdout via report)")
 
     chk = sub.add_parser("check", help="run property checkers against a triangle")
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     tgt.add_argument("--preset", choices=PRESET_NAMES)
     chk.add_argument("--arity", type=int, default=None, help="row-width slope of the ingested triangle")
     chk.add_argument("--s", type=_positive_int, default=None)
-    chk.add_argument("--n", type=int, default=None, help="rows to generate for a preset target")
+    chk.add_argument("--n", type=_nonnegative_int, default=None, help="rows to generate for a preset target")
     chk.add_argument("--tp-order", type=_positive_int, default=2, help="minor order for the tp check")
     chk.add_argument("--cache-dir", metavar="DIR", default=None)
     chk.add_argument("--offline", action="store_true", help="never touch the network")
@@ -133,10 +140,12 @@ def parse_const_params(text: str) -> ConstParams:
 def load_scheme_file(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read scheme file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"scheme file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FileFormatError("scheme file must hold a JSON object")
     kind = data.get("kind")
     if kind not in ("three-term", "five-term"):
         raise FileFormatError("scheme file needs \"kind\": \"three-term\" or \"five-term\"")
@@ -152,7 +161,7 @@ def load_scheme_file(path: str) -> dict:
 def load_poly_file(path: str) -> PolySeq:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read polynomial file: {exc}") from exc
     polys = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -170,7 +179,7 @@ def load_poly_file(path: str) -> PolySeq:
 def load_triangle_file(path: str) -> Triangle:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read triangle file: {exc}") from exc
     return Triangle.parse(text)
 

@@ -139,6 +139,35 @@ def is_log_convex(s: NumSeq) -> PropertyReport:
 # -- polynomial sequences -----------------------------------------------------
 
 
+def _kronecker(polys: Sequence[QPoly]) -> tuple[list[int], int] | None:
+    """Pack integer polynomials for the pair test, or ``None`` if any
+    coefficient is not exactly ``int``.
+
+    Returns each f as f(2^w) and the guard word G with bit b set in each of
+    the 2L-1 slots of width w = b + 1 that a product of two of them spans.
+    With M the largest coefficient bit-length and L the longest length,
+    every coefficient of a difference of two such products lies strictly
+    between -2^b and 2^b for b = 2M + L.bit_length() + 1.  So G + X - Y
+    writes each coefficient c as the slot digit 2^b + c with no borrow into
+    the next slot, and its guard bit is set exactly when c >= 0.
+    """
+    if any(type(c) is not int for p in polys for c in p.coeffs):
+        return None
+    bits = max((abs(c).bit_length() for p in polys for c in p.coeffs), default=0)
+    length = max(max(len(p.coeffs) for p in polys), 1)
+    b = 2 * bits + length.bit_length() + 1
+    w = b + 1
+    packed = []
+    for p in polys:
+        v = 0
+        for c in reversed(p.coeffs):
+            v = (v << w) + c
+        packed.append(v)
+    slots = 2 * length - 1
+    guard = ((1 << w * slots) - 1) // ((1 << w) - 1) << b
+    return packed, guard
+
+
 def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> PropertyReport:
     """Shared engine for the (strong) q-log-convexity/-concavity checks.
 
@@ -146,12 +175,25 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     for all pairs m >= n with both ends inside the data window; the weak
     variants restrict to m == n.  Pairs are scanned in lexicographic (n, m)
     order so the reported witness is the least failure.
+
+    Integer sequences are decided on Kronecker-packed integers (see
+    :func:`_kronecker`); the first failing pair is then recomputed with
+    ``QPoly`` products so the witness is the same on either path.
     """
     polys = ps.polys
     lo, hi = ps.offset, ps.offset + len(polys) - 1
+    packing = _kronecker(polys)
+    if packing is not None:
+        packed, guard = packing
     for ni in range(1, len(polys) - 1):
         m_range = (ni,) if adjacent_only else range(ni, len(polys) - 1)
         for mi in m_range:
+            if packing is not None:
+                outer = packed[ni - 1] * packed[mi + 1]
+                inner = packed[ni] * packed[mi]
+                d = guard + outer - inner if convex else guard + inner - outer
+                if d & guard == guard:
+                    continue
             outer = polys[ni - 1] * polys[mi + 1]
             inner = polys[ni] * polys[mi]
             verdict = poly_geq_q(outer, inner) if convex else poly_geq_q(inner, outer)

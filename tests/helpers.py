@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from tripos.algebra import QPoly
+from tripos.algebra import QPoly, poly_geq_q
 from tripos.properties import is_q_tp2, is_tp_r
 
 
@@ -40,6 +40,23 @@ def naive_first_negative_minor(m, r):
                 d = naive_det([[m[i][j] for j in cols] for i in rows])
                 if d < 0:
                     return rows, cols, d
+    return None
+
+
+def naive_first_failing_pair(polys, convex, adjacent_only):
+    """Schoolbook pair scan in the checker's (n, m) order.
+
+    Returns ``(n, m, coeff_index, coeff)`` of the least pair where
+    f_{n-1} f_{m+1} >=_q f_n f_m (convex) or its reverse (concave) fails,
+    with indices into ``polys``, or ``None`` when every pair holds.
+    """
+    for n in range(1, len(polys) - 1):
+        for m in (n,) if adjacent_only else range(n, len(polys) - 1):
+            outer = polys[n - 1] * polys[m + 1]
+            inner = polys[n] * polys[m]
+            verdict = poly_geq_q(outer, inner) if convex else poly_geq_q(inner, outer)
+            if not verdict:
+                return n, m, verdict.index, verdict.value
     return None
 
 

@@ -66,6 +66,20 @@ class TestGenerate:
         assert code == 2
         assert "error" in err
 
+    def test_negative_n_exit2(self, capsys):
+        code, report, err = run(capsys, "generate", "--preset", "pascal", "--n", "-3")
+        assert code == 2
+        assert report is None
+        assert "non-negative" in err
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'{"kind": "three-term", "f": "\xff"}'])
+    def test_unreadable_scheme_file_exit2(self, capsys, tmp_path, content):
+        path = tmp_path / "scheme.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "generate", "--scheme-file", str(path), "--n", "3")
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+
 
 class TestCheck:
     def test_preset_holds(self, capsys):
@@ -112,6 +126,19 @@ class TestCheck:
                            "rows-log-concave")
         assert code == 2
         assert "cache miss" in err
+
+    def test_negative_n_exit2(self, capsys):
+        code, _, err = run(capsys, "check", "--preset", "pascal", "--n", "-1",
+                           "rows-log-concave")
+        assert code == 2
+        assert "non-negative" in err
+
+    def test_non_utf8_triangle_exit2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# arity=1 n_max=1\n1\n1 \xe9\n")
+        code, _, err = run(capsys, "check", "--file", str(path), "rows-log-concave")
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
 
     def test_malformed_triangle_exit2(self, capsys, tmp_path):
         path = tmp_path / "broken.txt"
@@ -198,6 +225,14 @@ class TestTransform:
                               "--direction", "convex")
         assert code == 3
         assert report["reports"][0]["verdict"] == "inapplicable"
+
+    def test_non_utf8_file_exit2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n1 \xe9\n")
+        code, _, err = run(capsys, "transform", str(path), "--s", "1",
+                           "--direction", "convex")
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
 
     def test_parse_error_names_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

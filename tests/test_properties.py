@@ -1,6 +1,7 @@
 """Sequence and matrix property checkers, cross-validated against brute force."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     has_internal_zero_gap,
+    naive_first_failing_pair,
     naive_first_negative_minor,
     random_q_tp2_matrix,
     random_tp2_matrix,
@@ -16,9 +18,12 @@ from tripos.algebra import QPoly, mat_mul
 from tripos.errors import SequenceRangeError
 from tripos.properties import (
     FAILS,
+    HOLDS,
     INAPPLICABLE,
     NumSeq,
     PolySeq,
+    PropertyReport,
+    _kronecker,
     hankel,
     is_log_concave,
     is_log_convex,
@@ -313,3 +318,90 @@ def test_pf2_equivalence_hypothesis(vals):
         return
     s = NumSeq(tuple(vals))
     assert is_log_concave(s).holds == is_pf_r(s, 2, len(vals)).holds
+
+
+# -- pair scan against the schoolbook reference ----------------------------------
+
+PAIR_CHECKS = (
+    (is_strongly_q_log_convex, "strongly-q-log-convex", True, False),
+    (is_strongly_q_log_concave, "strongly-q-log-concave", False, False),
+    (is_q_log_convex, "q-log-convex", True, True),
+    (is_q_log_concave, "q-log-concave", False, True),
+)
+
+big_ints = st.builds(lambda sign, v: sign * v, st.sampled_from((1, -1)),
+                     st.integers(2**200, 2**202))
+int_coeffs = st.one_of(st.integers(-3, 9), big_ints)
+fraction_coeffs = st.fractions(min_value=-3, max_value=9, max_denominator=4)
+
+
+def poly_seqs(coeffs):
+    return st.lists(st.lists(coeffs, max_size=5).map(QPoly), min_size=1, max_size=7)
+
+
+@st.composite
+def extreme_seqs(draw):
+    """Coefficients of one magnitude 2^M - 1, all polynomials of one length:
+    the product differences come closest to the packing bound."""
+    top = 2 ** draw(st.integers(1, 70)) - 1
+    length = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from((top, -top, 0)), min_size=length, max_size=length)
+    return draw(st.lists(row.map(QPoly), min_size=1, max_size=6))
+
+
+@st.composite
+def perturbed_powers(draw):
+    """scale * (1+q)^k holds every variant with equality; one perturbed
+    coefficient gives a late witness or none."""
+    scale = draw(st.sampled_from((1, 3, 2**200, Fraction(1, 3))))
+    polys = [list((scale * QPoly([1, 1]) ** k).coeffs)
+             for k in range(draw(st.integers(1, 9)))]
+    i = draw(st.integers(0, len(polys) - 1))
+    j = draw(st.integers(0, len(polys[i]) - 1))
+    polys[i][j] += draw(st.integers(-2, 2))
+    return [QPoly(p) for p in polys]
+
+
+@given(
+    st.one_of(
+        poly_seqs(int_coeffs),
+        poly_seqs(fraction_coeffs),
+        poly_seqs(st.one_of(int_coeffs, fraction_coeffs)),
+        extreme_seqs(),
+        perturbed_powers(),
+    ),
+    st.integers(-5, 5),
+)
+@settings(max_examples=400, deadline=None)
+def test_pair_checks_match_reference(polys, offset):
+    ps = PolySeq(tuple(polys), offset)
+    window = (offset, offset + len(polys) - 1)
+    for check, prop, convex, adjacent_only in PAIR_CHECKS:
+        report = check(ps)
+        expected = naive_first_failing_pair(ps.polys, convex, adjacent_only)
+        if expected is None:
+            assert report == PropertyReport(prop, window, HOLDS)
+        else:
+            n, m, index, coeff = expected
+            witness = {"n": offset + n, "m": offset + m,
+                       "coeff_index": index, "coeff": coeff}
+            assert report == PropertyReport(prop, window, FAILS, witness=witness)
+            assert type(report.witness["coeff"]) is type(coeff)
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+@pytest.mark.parametrize("bits", (1, 2, 3, 7, 64))
+def test_kronecker_width_bounds_extreme_differences(length, bits):
+    # A false "holds" is the one packing error a witness recomputation
+    # cannot catch, so the bound is checked where it is tightest: two
+    # products of all-(2^M - 1) polynomials of one length, opposite signs.
+    top = 2**bits - 1
+    polys = (QPoly([top] * length), QPoly([-top] * length))
+    packed, guard = _kronecker(polys)
+    b = (guard & -guard).bit_length() - 1
+    w = b + 1
+    worst = max(abs(c) for c in (polys[0] * polys[0] - polys[0] * polys[1]).coeffs)
+    assert worst == 2 * length * top * top
+    assert worst < 2**b
+    assert bin(guard).count("1") == 2 * length - 1
+    assert [sum(c << w * i for i, c in enumerate(p.coeffs)) for p in polys] == packed
