@@ -25,6 +25,10 @@ class UnknownPresetError(TriposError):
     """Preset name not in the registry."""
 
 
+class OracleMismatchError(TriposError):
+    """A generated preset triangle disagrees with its independent oracle."""
+
+
 class FileFormatError(TriposError):
     """A triangle / polynomial-sequence file does not match its format."""
 

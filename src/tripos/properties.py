@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .algebra import ExactRat, QPoly, det_exact, format_exact, poly_geq_q
-from .errors import SequenceRangeError
+from .errors import DimensionError, SequenceRangeError
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -251,30 +252,107 @@ def hankel(s: NumSeq, size: int) -> list[list[ExactRat]]:
     return [[vals[i + j] for j in range(size)] for i in range(size)]
 
 
+def _laplace_index(ncols: int, k: int) -> list[tuple[tuple[int, ...], tuple]]:
+    """Each column k-subset, in lexicographic order, with its Laplace terms.
+
+    A term ``(c, sub, neg)`` stands for ``±a[c] * P[sub]`` in the expansion of
+    a k-minor along its last row ``a``: ``sub`` is the lexicographic rank of
+    the (k-1)-subset without ``c`` in the table ``P`` of the other rows'
+    minors, and ``neg`` marks the cofactor sign (-1)^(k-1+t) for ``c`` at
+    position t.
+    """
+    rank = {cols: i for i, cols in enumerate(combinations(range(ncols), k - 1))}
+    return [
+        (cols, tuple((c, rank[cols[:t] + cols[t + 1:]], (k - 1 - t) % 2 == 1)
+                     for t, c in enumerate(cols)))
+        for cols in combinations(range(ncols), k)
+    ]
+
+
+def _expand(a: list[int], subsets, table: list[int]) -> list[int]:
+    """Minors over every column subset of ``subsets`` (see
+    :func:`_laplace_index`) of the rows behind ``table`` plus row ``a``, by
+    Laplace expansion along ``a``; zero entries and zero minors are skipped."""
+    out = []
+    for _, terms in subsets:
+        minor = 0
+        for c, sub, neg in terms:
+            x = a[c]
+            if x:
+                y = table[sub]
+                if y:
+                    minor = minor - x * y if neg else minor + x * y
+        out.append(minor)
+    return out
+
+
+def _first_negative_minor(
+    rows: list[list[int]], index: list, order: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Row and column subsets of the first negative minor of one order, or ``None``.
+
+    Row subsets are walked depth first by prefix, which visits them in
+    lexicographic order.  A prefix of j rows carries one table: its j-minors
+    over every column j-subset, by rank.  Adding a row extends the table by
+    Laplace expansion along that row.  At full depth the table's first
+    negative entry, in lexicographic column order, is the answer.
+    ``index[j]`` is :func:`_laplace_index` of order j.
+    """
+    nrows = len(rows)
+
+    def walk(start: int, chosen: tuple[int, ...], table: list[int]):
+        depth = len(chosen) + 1
+        for i in range(start, nrows - order + depth):
+            minors = _expand(rows[i], index[depth], table)
+            if depth < order:
+                found = walk(i + 1, chosen + (i,), minors)
+                if found:
+                    return found
+            elif min(minors) < 0:
+                first = next(t for t, minor in enumerate(minors) if minor < 0)
+                return chosen + (i,), index[depth][first][0]
+        return None
+
+    return walk(0, (), [1])
+
+
 def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     """Total positivity of order r: every minor of order <= r is nonnegative.
 
     Minors are enumerated by increasing order, then lexicographically by row
-    and column subsets, short-circuiting on the first negative one.
+    and column subsets, short-circuiting on the first negative one.  Each row
+    is scaled by the lcm of its denominators first, which keeps every minor's
+    sign, so the scan runs on integers; the witness minor is then recomputed
+    with :func:`det_exact` on the original entries.
     """
     if r < 1:
         raise ValueError("minor order r must be >= 1")
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise DimensionError(
+                f"row {i} has {len(row)} entries, row 0 has {ncols}"
+            )
     note = None
     r_eff = min(r, nrows, ncols)
     if r_eff < r:
         note = f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})"
+    cleared = []
+    for row in matrix:
+        mult = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (mult // x.denominator) for x in row])
+    index = [None] + [_laplace_index(ncols, k) for k in range(1, r_eff + 1)]
     for order in range(1, r_eff + 1):
-        for rows in combinations(range(nrows), order):
-            for cols in combinations(range(ncols), order):
-                minor = det_exact([[matrix[i][j] for j in cols] for i in rows])
-                if minor < 0:
-                    return PropertyReport(
-                        "totally-positive", (1, r_eff), FAILS,
-                        witness={"rows": rows, "cols": cols, "minor": minor},
-                        note=note,
-                    )
+        found = _first_negative_minor(cleared, index, order)
+        if found:
+            rows, cols = found
+            minor = det_exact([[matrix[i][j] for j in cols] for i in rows])
+            return PropertyReport(
+                "totally-positive", (1, r_eff), FAILS,
+                witness={"rows": rows, "cols": cols, "minor": minor},
+                note=note,
+            )
     return PropertyReport("totally-positive", (1, max(r_eff, 0)), HOLDS, note=note)
 
 

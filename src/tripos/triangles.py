@@ -30,6 +30,7 @@ from . import oracles
 from .algebra import ExactRat, QPoly, format_exact, parse_exact
 from .errors import (
     FileFormatError,
+    OracleMismatchError,
     SchemeDomainError,
     SequenceRangeError,
     UnknownPresetError,
@@ -45,6 +46,8 @@ class Triangle:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        if self.arity < 1:
+            raise FileFormatError(f"arity must be >= 1, got {self.arity}")
         for n, row in enumerate(self.rows):
             if len(row) != self.arity * n + 1:
                 raise FileFormatError(
@@ -149,7 +152,12 @@ class CoeffScheme:
         if "constant" in d:
             return cls.constant(parse_exact(str(d["constant"])))
         if "affine" in d:
-            a, b = d["affine"]
+            pair = d["affine"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise FileFormatError(
+                    f"affine scheme needs a list [slope, intercept], got {pair!r}"
+                )
+            a, b = pair
             return cls.affine(parse_exact(str(a)), parse_exact(str(b)))
         if "table" in d:
             vals = [parse_exact(str(v)) for v in d["table"]]
@@ -363,7 +371,7 @@ class Preset:
     ``schemes`` maps the requested n_max to the (f, g) pair of the three-term
     recurrence (table-backed presets need to know how far they will be read).
     ``validate`` receives the generated triangle and the largest row index to
-    verify, and raises AssertionError on any mismatch with its oracle.
+    verify, and raises OracleMismatchError on any mismatch with its oracle.
     """
 
     name: str
@@ -386,23 +394,27 @@ def _head_tail_schemes(
 
 def _check_column0(t: Triangle, upto: int, expected: list[int], what: str) -> None:
     got = [t.rows[n][0] for n in range(upto + 1)]
-    assert got == expected[: upto + 1], f"{what} column-0 mismatch: {got[:8]}..."
+    if got != expected[: upto + 1]:
+        raise OracleMismatchError(f"{what} column-0 mismatch: {got[:8]}...")
 
 
 def _validate_pascal(t: Triangle, upto: int) -> None:
     for n in range(upto + 1):
-        assert list(t.rows[n]) == oracles.pascal_row(n), f"pascal row {n} mismatch"
+        if list(t.rows[n]) != oracles.pascal_row(n):
+            raise OracleMismatchError(f"pascal row {n} mismatch")
 
 
 def _validate_stirling2(t: Triangle, upto: int) -> None:
     table = oracles.stirling2_triangle(upto + 1)
     for n in range(upto + 1):
-        assert list(t.rows[n]) == table[n], f"stirling2 row {n} mismatch"
+        if list(t.rows[n]) != table[n]:
+            raise OracleMismatchError(f"stirling2 row {n} mismatch")
 
 
 def _validate_shapiro(t: Triangle, upto: int) -> None:
     for n in range(upto + 1):
-        assert list(t.rows[n]) == oracles.shapiro_row(n + 1), f"shapiro row {n} mismatch"
+        if list(t.rows[n]) != oracles.shapiro_row(n + 1):
+            raise OracleMismatchError(f"shapiro row {n} mismatch")
 
 
 def _validate_s_pascal(t: Triangle, upto: int) -> None:
@@ -410,9 +422,8 @@ def _validate_s_pascal(t: Triangle, upto: int) -> None:
     _check_column0(t, upto, ones, "s-pascal")
     for n in range(upto + 1):
         row = t.rows[n]
-        assert all(row[k] == row[len(row) - 1 - k] for k in range(len(row))), (
-            f"s-pascal row {n} not symmetric"
-        )
+        if any(row[k] != row[len(row) - 1 - k] for k in range(len(row))):
+            raise OracleMismatchError(f"s-pascal row {n} not symmetric")
 
 
 def _const_schemes(f: ExactRat, g: ExactRat) -> Callable[[int], tuple[CoeffScheme, CoeffScheme]]:

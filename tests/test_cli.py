@@ -80,6 +80,14 @@ class TestGenerate:
         assert code == 2
         assert "error" in err and "Traceback" not in err
 
+    def test_short_affine_scheme_exit2(self, capsys, tmp_path):
+        scheme = {"kind": "three-term", "f": {"affine": ["1"]}, "g": {"constant": "0"}}
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(scheme))
+        code, _, err = run(capsys, "generate", "--scheme-file", str(path), "--n", "3")
+        assert code == 2
+        assert "affine" in err and "Traceback" not in err
+
 
 class TestCheck:
     def test_preset_holds(self, capsys):
@@ -139,6 +147,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--file", str(path), "rows-log-concave")
         assert code == 2
         assert "error" in err and "Traceback" not in err
+
+    def test_negative_arity_exit2(self, capsys, tmp_path):
+        path = tmp_path / "arity.txt"
+        path.write_text("# arity=-1 n_max=0\n1\n")
+        code, _, err = run(capsys, "check", "--file", str(path), "rows-log-concave")
+        assert code == 2
+        assert "arity" in err
 
     def test_malformed_triangle_exit2(self, capsys, tmp_path):
         path = tmp_path / "broken.txt"

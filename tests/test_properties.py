@@ -15,7 +15,7 @@ from helpers import (
     random_tp2_matrix,
 )
 from tripos.algebra import QPoly, mat_mul
-from tripos.errors import SequenceRangeError
+from tripos.errors import DimensionError, SequenceRangeError
 from tripos.properties import (
     FAILS,
     HOLDS,
@@ -176,6 +176,14 @@ class TestTotalPositivity:
         assert r.holds
         assert "clamped" in r.note
 
+    def test_short_row_rejected(self):
+        with pytest.raises(DimensionError):
+            is_tp_r([[1, 2], [3]], 2)
+
+    def test_long_row_rejected(self):
+        with pytest.raises(DimensionError):
+            is_tp_r([[1, 2], [3, 4, 5]], 2)
+
     def test_agrees_with_naive_enumerator(self):
         rng = random.Random(1234)
         holds_seen = fails_seen = 0
@@ -306,6 +314,84 @@ class TestLeadingPrincipalSufficiency:
                 sub = [row[:k] for row in full[:k]]
                 assert is_tp_r(sub, 2).holds, (name, k)
             assert is_tp_r(full, 2).holds, name
+
+
+# -- minor scan against the permutation-expansion reference --------------------
+
+int_entries = st.integers(-4, 6)
+fraction_entries = st.fractions(min_value=-4, max_value=6, max_denominator=6)
+entry_kinds = st.sampled_from(
+    (int_entries, fraction_entries, st.one_of(int_entries, fraction_entries))
+)
+
+
+@st.composite
+def dense_matrices(draw):
+    """Rows of int, Fraction or mixed entries, some rows and columns zeroed."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = []
+    for _ in range(nrows):
+        entries = draw(entry_kinds)
+        m.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        m[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@st.composite
+def bidiagonal_products(draw):
+    """A window of a product of nonnegative bidiagonal factors, which is
+    totally nonnegative; raising one entry may break that."""
+    size = draw(st.integers(1, 6))
+    weights = st.one_of(st.integers(0, 3),
+                        st.fractions(min_value=0, max_value=3, max_denominator=4))
+    m = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(draw(st.integers(1, 3))):
+        factor = [[0] * size for _ in range(size)]
+        lower = draw(st.booleans())
+        for i in range(size):
+            factor[i][i] = draw(weights)
+            if i + 1 < size:
+                if lower:
+                    factor[i + 1][i] = draw(weights)
+                else:
+                    factor[i][i + 1] = draw(weights)
+        m = mat_mul(m, factor)
+    nrows, ncols = draw(st.integers(1, size)), draw(st.integers(1, size))
+    m = [row[:ncols] for row in m[:nrows]]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(m) - 1))
+        j = draw(st.integers(0, len(m[0]) - 1))
+        m[i][j] += draw(st.integers(1, 5))
+    return m
+
+
+@given(st.one_of(dense_matrices(), bidiagonal_products()), st.integers(1, 6))
+@settings(max_examples=300, deadline=None)
+def test_tp_r_matches_reference(m, r):
+    nrows, ncols = len(m), len(m[0])
+    r_eff = min(r, nrows, ncols)
+    note = None
+    if r_eff < r:
+        note = f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})"
+    report = is_tp_r(m, r)
+    expected = naive_first_negative_minor(m, r)
+    if expected is None:
+        assert report.to_dict() == PropertyReport(
+            "totally-positive", (1, r_eff), HOLDS, note=note).to_dict()
+    else:
+        rows, cols, minor = expected
+        # det_exact gives an integral minor as int, whatever the entry types
+        if minor.denominator == 1:
+            minor = int(minor)
+        assert report.to_dict() == PropertyReport(
+            "totally-positive", (1, r_eff), FAILS,
+            witness={"rows": rows, "cols": cols, "minor": minor}, note=note,
+        ).to_dict()
+        assert type(report.witness["minor"]) is type(minor)
 
 
 seqs = st.lists(st.integers(0, 20), min_size=3, max_size=7)

@@ -1,5 +1,10 @@
 """Triangle generators, presets, generalized binomial rows, matrix identities."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +183,27 @@ class TestPresets:
         assert list(t.rows[2]) == [1, 2, 3, 2, 1]
         with pytest.raises(UnknownPresetError):
             preset("s_pascal")
+
+    def test_wrong_triangle_raises_under_optimize(self):
+        # Validation must not rest on assert, which python -O strips.
+        script = (
+            "import dataclasses\n"
+            "from tripos import triangles\n"
+            "from tripos.errors import OracleMismatchError\n"
+            "p = triangles.PRESETS['motzkin']\n"
+            "triangles.PRESETS['motzkin'] = dataclasses.replace(\n"
+            "    p, schemes=triangles._const_schemes(1, 2))\n"
+            "try:\n"
+            "    triangles.build_preset('motzkin', 6)\n"
+            "except OracleMismatchError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(oracles.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.startswith("raised: motzkin column-0 mismatch")
 
     def test_unknown_preset(self):
         with pytest.raises(UnknownPresetError):
