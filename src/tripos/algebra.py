@@ -28,8 +28,15 @@ def as_fraction(x: ExactRat) -> Fraction:
 
 
 def parse_exact(text: str) -> ExactRat:
-    """Parse an exact integer-or-fraction string such as ``-3`` or ``7/2``."""
-    f = Fraction(text.strip())
+    """Parse an exact integer-or-fraction string such as ``-3`` or ``7/2``.
+
+    Raises ``ValueError`` for any text that is not such a number, a zero
+    denominator included.
+    """
+    try:
+        f = Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
     return int(f) if f.denominator == 1 else f
 
 

@@ -52,18 +52,21 @@ from .triangles import (
 CHECK_NAMES = ("rows-log-concave", "rowgen-strong-qlcx", "rowgen-strong-qlcv", "tp")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_at_least(low: int, wanted: str):
+    """Argparse type for an integer >= ``low``; ``wanted`` names it in errors."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     tgt.add_argument("--file", metavar="PATH", help="triangle file to check")
     tgt.add_argument("--oeis", metavar="ID", help="OEIS id to ingest (b-file)")
     tgt.add_argument("--preset", choices=PRESET_NAMES)
-    chk.add_argument("--arity", type=int, default=None, help="row-width slope of the ingested triangle")
+    chk.add_argument("--arity", type=_positive_int, default=None, help="row-width slope of the ingested triangle")
     chk.add_argument("--s", type=_positive_int, default=None)
     chk.add_argument("--n", type=_nonnegative_int, default=None, help="rows to generate for a preset target")
     chk.add_argument("--tp-order", type=_positive_int, default=2, help="minor order for the tp check")
@@ -104,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--params", metavar="a,b,g,e,f,g,h",
                       help="constant weights (cor22 / thm34)")
     cond.add_argument("--schemes", metavar="PATH", help="JSON scheme file (thm21)")
-    cond.add_argument("--k-max", type=int, default=30)
-    cond.add_argument("--tail-recurrence", type=int, metavar="N", default=None,
+    cond.add_argument("--k-max", type=_int_at_least(2, "an integer >= 2"), default=30,
+                      help="largest k of the thm21 conditions, which range over 2 <= k <= k_max")
+    cond.add_argument("--tail-recurrence", type=_nonnegative_int, metavar="N", default=None,
                       help="also verify the tail-sum recurrence identity up to row N")
 
     tra = sub.add_parser("transform", help="apply the generalized binomial transform "

@@ -179,19 +179,26 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
 
     Integer sequences are decided on Kronecker-packed integers (see
     :func:`_kronecker`); the first failing pair is then recomputed with
-    ``QPoly`` products so the witness is the same on either path.
+    ``QPoly`` products so the witness is the same on either path.  The
+    outer product f_{n-1} f_{m+1} of pair (n, m) is the inner product of
+    pair (n-1, m+1), so each row's packed inner products are carried into
+    the next row; only the previous and the current row are kept.
     """
     polys = ps.polys
     lo, hi = ps.offset, ps.offset + len(polys) - 1
     packing = _kronecker(polys)
     if packing is not None:
         packed, guard = packing
+    carried: dict[int, int] = {}
     for ni in range(1, len(polys) - 1):
         m_range = (ni,) if adjacent_only else range(ni, len(polys) - 1)
+        row: dict[int, int] = {}
         for mi in m_range:
             if packing is not None:
-                outer = packed[ni - 1] * packed[mi + 1]
-                inner = packed[ni] * packed[mi]
+                outer = carried.get(mi + 1)
+                if outer is None:
+                    outer = packed[ni - 1] * packed[mi + 1]
+                inner = row[mi] = packed[ni] * packed[mi]
                 d = guard + outer - inner if convex else guard + inner - outer
                 if d & guard == guard:
                     continue
@@ -208,6 +215,7 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
                         "coeff": verdict.value,
                     },
                 )
+        carried = row
     return PropertyReport(prop, (lo, hi), HOLDS)
 
 

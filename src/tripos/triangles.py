@@ -149,8 +149,11 @@ class CoeffScheme:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoeffScheme":
+        """Inverse of :meth:`to_dict`; a malformed scheme raises ``FileFormatError``."""
+        if not isinstance(d, dict):
+            raise FileFormatError(f"coefficient scheme must be a JSON object, got {d!r}")
         if "constant" in d:
-            return cls.constant(parse_exact(str(d["constant"])))
+            return cls.constant(_scheme_value(d["constant"]))
         if "affine" in d:
             pair = d["affine"]
             if not isinstance(pair, list) or len(pair) != 2:
@@ -158,11 +161,23 @@ class CoeffScheme:
                     f"affine scheme needs a list [slope, intercept], got {pair!r}"
                 )
             a, b = pair
-            return cls.affine(parse_exact(str(a)), parse_exact(str(b)))
+            return cls.affine(_scheme_value(a), _scheme_value(b))
         if "table" in d:
-            vals = [parse_exact(str(v)) for v in d["table"]]
-            return cls.table(vals, int(d.get("start", 0)))
+            vals = d["table"]
+            if not isinstance(vals, list):
+                raise FileFormatError(f"table scheme needs a list of values, got {vals!r}")
+            return cls.table([_scheme_value(v) for v in vals],
+                             _scheme_value(d.get("start", 0), int))
         raise FileFormatError(f"unrecognized coefficient scheme: {d!r}")
+
+
+def _scheme_value(value, parse=parse_exact):
+    """``parse(str(value))`` for one scheme-file value, as ``FileFormatError``
+    when it is not a number of the wanted kind."""
+    try:
+        return parse(str(value))
+    except ValueError as exc:
+        raise FileFormatError(f"bad coefficient scheme value {value!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

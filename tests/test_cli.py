@@ -1,11 +1,15 @@
 """CLI surface: exit-status contract, JSON determinism, file round trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripos.cli import main
-from tripos.triangles import Triangle, bisnomial_row, build_preset, row_polys
+from tripos.triangles import PRESET_NAMES, Triangle, bisnomial_row, build_preset, row_polys
 
 
 def run(capsys, *argv):
@@ -287,3 +291,173 @@ class TestReportEnvelope:
         _, _, err = run(capsys, "check", "--preset", "pascal", "--n", "4",
                         "rows-log-concave")
         assert "rows-log-concave: holds" in err
+
+
+# -- input faults and the exit-code contract ---------------------------------------
+
+ZERO_DENOMINATOR_COMMANDS = {
+    "triangle-file": (["check", "--file", "{path}", "rows-log-concave"],
+                      "# arity=1 n_max=1\n1\n1/0 1\n"),
+    "poly-file": (["transform", "{path}", "--s", "2", "--direction", "convex"], "1\n1 1/0\n"),
+    "cor22-params": (["conditions", "cor22", "--params", "1/0,1,1,1,1,1,1"], None),
+    "generate-params": (["generate", "--params", "1/0,1,1,1,1,1,1", "--n", "3"], None),
+}
+
+
+@pytest.mark.parametrize("argv, content", ZERO_DENOMINATOR_COMMANDS.values(),
+                         ids=list(ZERO_DENOMINATOR_COMMANDS))
+def test_zero_denominator_exit2(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_text(content)
+    code, report, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert report is None
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+SCHEME_NAMES = {
+    "three-term": ("f", "g"),
+    "five-term": ("gamma", "e", "f", "g", "h"),
+}
+
+
+@pytest.mark.parametrize("scheme", [
+    3,
+    {"affine": ["1", "x"]},
+    {"constant": "1/0"},
+    {"table": 5},
+    {"table": [1, 2], "start": "x"},
+])
+@pytest.mark.parametrize("argv", [
+    ["generate", "--scheme-file", "{path}", "--n", "3"],
+    ["conditions", "thm21", "--schemes", "{path}"],
+], ids=["generate", "thm21"])
+def test_malformed_scheme_exit2(capsys, tmp_path, scheme, argv):
+    kind = "three-term" if argv[0] == "generate" else "five-term"
+    body = {"kind": kind, **{name: {"constant": "1"} for name in SCHEME_NAMES[kind]}}
+    body["f"] = scheme
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(body))
+    code, report, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert report is None
+    assert "error" in err and "Traceback" not in err
+
+
+class TestArgumentBounds:
+    def test_k_max_below_two_exit2(self, capsys, tmp_path):
+        # The thm21 conditions range over 2 <= k <= k_max: f = 3 breaks them
+        # at k = 2, and k_max = 1 would certify them over an empty range.
+        body = {"kind": "five-term", **{name: {"constant": "1"}
+                                        for name in SCHEME_NAMES["five-term"]}}
+        body["f"] = {"constant": "3"}
+        path = tmp_path / "penta.json"
+        path.write_text(json.dumps(body))
+        argv = ["conditions", "thm21", "--schemes", str(path), "--k-max"]
+        code, report, _ = run(capsys, *argv, "2")
+        assert code == 1
+        assert report["reports"][0]["established"] is False
+        code, report, err = run(capsys, *argv, "1")
+        assert code == 2
+        assert report is None
+        assert "--k-max" in err
+
+    def test_negative_tail_recurrence_exit2(self, capsys):
+        code, report, err = run(capsys, "conditions", "thm34", "--params", "1,1,1,1,1,1,1",
+                                "--tail-recurrence", "-2")
+        assert code == 2
+        assert report is None
+        assert "--tail-recurrence" in err
+
+    def test_arity_flag_below_one_exit2(self, capsys):
+        code, report, err = run(capsys, "check", "--preset", "pascal", "--n", "3",
+                                "--arity", "-1", "rows-log-concave")
+        assert code == 2
+        assert report is None
+        assert "--arity" in err
+
+
+NUMBERS = ("0", "1", "-1", "3", "2/3", "-1/2", "1/0", "0/0", "x", "1.5", "", "1e3", "nan")
+numbers = st.one_of(st.sampled_from(NUMBERS), st.text(max_size=3))
+small_ints = st.sampled_from(("-2", "-1", "0", "1", "2", "3", "x", ""))
+scheme_values = st.one_of(
+    st.sampled_from(NUMBERS), st.integers(-3, 3), st.none(), st.booleans(),
+    st.floats(-3, 3), st.lists(st.sampled_from(NUMBERS), max_size=3),
+)
+schemes = st.one_of(scheme_values, st.fixed_dictionaries({}, optional={
+    key: scheme_values for key in ("constant", "affine", "table", "start")}))
+scheme_files = st.fixed_dictionaries(
+    {"kind": st.sampled_from(("three-term", "five-term", "x"))},
+    optional={name: schemes for name in SCHEME_NAMES["five-term"]},
+).map(json.dumps)
+number_lines = st.lists(st.lists(numbers, max_size=4).map(" ".join), max_size=5)
+triangle_files = st.builds(
+    lambda header, lines: "\n".join([header, *lines]) + "\n",
+    st.one_of(st.builds("# arity={} n_max={}".format, small_ints, small_ints), numbers),
+    number_lines,
+)
+poly_files = number_lines.map("\n".join)
+params = st.lists(st.sampled_from(NUMBERS), min_size=6, max_size=8).map(",".join)
+
+# Every file argument names a file the test writes; "--oeis" always comes
+# with "--offline", so no run touches the network.
+fragments = st.one_of(
+    st.tuples(st.sampled_from(("--n", "--s", "--arity", "--tp-order", "--k-max",
+                               "--tail-recurrence", "--n-max")), small_ints),
+    st.tuples(st.just("--params"), params),
+    st.tuples(st.sampled_from(("--file", "--scheme-file", "--schemes")),
+              st.sampled_from(("{triangle}", "{scheme}", "{polys}", "{missing}"))),
+    st.tuples(st.just("--preset"), st.sampled_from(PRESET_NAMES + ("nope",))),
+    st.tuples(st.just("--direction"), st.sampled_from(("convex", "concave", "up"))),
+    st.just(("--oeis", "A027907", "--offline", "--cache-dir", "{cache}")),
+    st.tuples(st.sampled_from(("rows-log-concave", "rowgen-strong-qlcx", "rowgen-strong-qlcv",
+                               "tp", "thm21", "cor22", "thm34", "{polys}", "{triangle}"))),
+)
+argvs = st.one_of(
+    st.builds(lambda command, parts: [command, *(arg for part in parts for arg in part)],
+              st.sampled_from(("generate", "check", "conditions", "transform", "nope")),
+              st.lists(fragments, max_size=6)),
+    st.sampled_from((
+        ["generate", "--scheme-file", "{scheme}", "--n", "3"],
+        ["generate", "--params", "{params}", "--n", "3"],
+        ["check", "--file", "{triangle}", "rows-log-concave", "rowgen-strong-qlcx", "tp"],
+        ["conditions", "thm21", "--schemes", "{scheme}", "--k-max", "3"],
+        ["conditions", "cor22", "--params", "{params}"],
+        ["conditions", "thm34", "--params", "{params}", "--tail-recurrence", "3"],
+        ["transform", "{polys}", "--s", "1", "--direction", "convex"],
+        ["transform", "{polys}", "--s", "2", "--direction", "concave"],
+    )),
+)
+
+
+def _failing_report(report: dict) -> bool:
+    if report.get("established") is False:
+        return True
+    output = report.get("output") or {}
+    return report.get("verdict") == "fails" and bool(report.get("witness") or output.get("witness"))
+
+
+@given(argvs, st.data())
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_contract_fuzz(tmp_path_factory, argv, data):
+    # Exit 1 is reserved for a failing property with its witness; every
+    # input fault, however malformed, must exit 2 without a traceback.
+    tmp = tmp_path_factory.mktemp("fuzz")
+    values = {"missing": tmp / "missing", "cache": tmp / "cache"}
+    for name, strategy in (("triangle", triangle_files), ("polys", poly_files),
+                           ("scheme", scheme_files), ("params", params)):
+        if any(f"{{{name}}}" in arg for arg in argv):
+            values[name] = data.draw(strategy, label=name)
+            if name != "params":
+                path = tmp / name
+                path.write_text(values[name])
+                values[name] = path
+    argv = [arg.format(**values) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert any(_failing_report(r) for r in json.loads(out.getvalue())["reports"]), argv

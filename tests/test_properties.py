@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -36,7 +36,7 @@ from tripos.properties import (
     is_tp_r,
     toeplitz,
 )
-from tripos.triangles import bisnomial_row, build_preset
+from tripos.triangles import bisnomial_row, build_preset, row_polys
 
 
 class TestLogConcave:
@@ -422,7 +422,7 @@ fraction_coeffs = st.fractions(min_value=-3, max_value=9, max_denominator=4)
 
 
 def poly_seqs(coeffs):
-    return st.lists(st.lists(coeffs, max_size=5).map(QPoly), min_size=1, max_size=7)
+    return st.lists(st.lists(coeffs, max_size=5).map(QPoly), min_size=1, max_size=12)
 
 
 @st.composite
@@ -432,7 +432,7 @@ def extreme_seqs(draw):
     top = 2 ** draw(st.integers(1, 70)) - 1
     length = draw(st.integers(1, 6))
     row = st.lists(st.sampled_from((top, -top, 0)), min_size=length, max_size=length)
-    return draw(st.lists(row.map(QPoly), min_size=1, max_size=6))
+    return draw(st.lists(row.map(QPoly), min_size=1, max_size=12))
 
 
 @st.composite
@@ -441,11 +441,21 @@ def perturbed_powers(draw):
     coefficient gives a late witness or none."""
     scale = draw(st.sampled_from((1, 3, 2**200, Fraction(1, 3))))
     polys = [list((scale * QPoly([1, 1]) ** k).coeffs)
-             for k in range(draw(st.integers(1, 9)))]
+             for k in range(draw(st.integers(1, 12)))]
     i = draw(st.integers(0, len(polys) - 1))
     j = draw(st.integers(0, len(polys[i]) - 1))
     polys[i][j] += draw(st.integers(-2, 2))
     return [QPoly(p) for p in polys]
+
+
+# Motzkin row polynomials 0..9 with one end replaced, so that the only failing
+# strongly-q-log-convex pair is (3, 8), the last pair of row 3, whose outer
+# product f_2 f_9 is the one formed afresh in that row; or (1, 2), inside row 1,
+# which has no earlier row to take products from.
+MOTZKIN_ROWGENS = row_polys(build_preset("motzkin", 9))
+LAST_PAIR_ONLY = [*MOTZKIN_ROWGENS[:9],
+                  QPoly([847, 1365, 1434, 1152, 722, 369, 139, 56, 21, 13, 12, 12])]
+ROW_ONE_ONLY = [QPoly([41, -40, 40, -20, 0, 40]), *MOTZKIN_ROWGENS[1:]]
 
 
 @given(
@@ -458,6 +468,8 @@ def perturbed_powers(draw):
     ),
     st.integers(-5, 5),
 )
+@example(LAST_PAIR_ONLY, 0)
+@example(ROW_ONE_ONLY, 2)
 @settings(max_examples=400, deadline=None)
 def test_pair_checks_match_reference(polys, offset):
     ps = PolySeq(tuple(polys), offset)
