@@ -24,10 +24,11 @@ import time
 
 from tripos.algebra import mat_mul
 from tripos.conditions import q_log_convexity_conditions, verify_tail_recurrence
-from tripos.properties import NumSeq, PolySeq, is_log_concave, is_strongly_q_log_convex, is_tp_r
+from tripos.properties import TRIANGLE_CHECKS, PolySeq, is_tp_r
 from tripos.transforms import check_preservation
 from tripos.triangles import (
     PRESET_NAMES,
+    Triangle,
     build_preset,
     from_const_params,
     preset,
@@ -38,42 +39,38 @@ from tripos.triangles import (
 
 def survey_preset(name: str, n_max: int) -> dict:
     t = build_preset(name, n_max, s=2 if name == "s_pascal" else None)
-    rows_ok = all(is_log_concave(NumSeq(row)).holds for row in t.rows)
-    gens = PolySeq(tuple(row_polys(t)))
-    qlcx = is_strongly_q_log_convex(gens).holds
-    size = min(n_max + 1, 12)
-    tp2 = is_tp_r(t.to_matrix(size, size), 2).holds
     out = {
-        "rows-log-concave": rows_ok,
-        "rowgen-strong-qlcx": qlcx,
-        "matrix-tp2": tp2,
+        "rows-log-concave": TRIANGLE_CHECKS["rows-log-concave"](t, 2).holds,
+        "rowgen-strong-qlcx": TRIANGLE_CHECKS["rowgen-strong-qlcx"](t, 2).holds,
+        # TP_2 of the truncation to rows and columns 0..11
+        "matrix-tp2": TRIANGLE_CHECKS["tp"](Triangle(t.rows[:12], t.arity), 2).holds,
     }
 
     p = preset(name).const_params if name != "s_pascal" else None
     if p is not None:
-        report = q_log_convexity_conditions(p)
-        out["conditions-established"] = report.established
-        out["recurrence-matrix-tp2"] = is_tp_r(recurrence_matrix(p, 10), 2).holds
+        j = recurrence_matrix(p, 10)
+        out["conditions-established"] = q_log_convexity_conditions(p).established
+        out["recurrence-matrix-tp2"] = is_tp_r(j, 2).holds
         out["tail-recurrence"] = verify_tail_recurrence(p, 8).holds
-        tc = from_const_params(p, 12)
-        a = tc.to_matrix(10, 10)
-        shifted = [[tc.entry(i + 1, j) for j in range(10)] for i in range(10)]
-        out["deleted-row-identity"] = mat_mul(a, recurrence_matrix(p, 10)) == shifted
-        if qlcx:
+        # dropping row 0 of the triangle matrix equals multiplying it by J
+        a = from_const_params(p, 10).to_matrix(11, 10)
+        out["deleted-row-identity"] = mat_mul(a[:10], j) == a[1:]
+        if out["rowgen-strong-qlcx"]:
+            gens = row_polys(t)
             checks = []
             for s in (1, 2, 3):
                 depth = min(8, (len(gens) - 1) // s)
-                window = PolySeq(gens.polys[: s * depth + 1])
+                window = PolySeq(tuple(gens[: s * depth + 1]))
                 checks.append(check_preservation(window, s, depth, "convex").holds)
             out["transform-preserves"] = all(checks)
     return out
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=20, help="rows per triangle")
     parser.add_argument("--json", metavar="PATH", help="write results as JSON")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     started = time.perf_counter()
     results = {}

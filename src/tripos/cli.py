@@ -25,31 +25,22 @@ from .conditions import (
 )
 from .errors import FileFormatError, TriposError
 from .oeis import fetch_bfile, reshape, resolve_cache_dir, trim_to_rows
-from .properties import (
-    HOLDS,
-    INAPPLICABLE,
-    NumSeq,
-    PolySeq,
-    PropertyReport,
-    is_log_concave,
-    is_strongly_q_log_concave,
-    is_strongly_q_log_convex,
-    is_tp_r,
-)
+from .properties import HOLDS, INAPPLICABLE, TRIANGLE_CHECKS, PolySeq
 from .transforms import check_preservation
 from .triangles import (
+    PRESET_NAMES,
+    SCHEME_NAMES,
     CoeffScheme,
     ConstParams,
-    PRESET_NAMES,
     Triangle,
     build_preset,
     from_const_params,
     from_five_term,
     from_three_term,
-    row_polys,
 )
 
-CHECK_NAMES = ("rows-log-concave", "rowgen-strong-qlcx", "rowgen-strong-qlcv", "tp")
+CHECK_NAMES = tuple(TRIANGLE_CHECKS)
+_GENERATORS = {"three-term": from_three_term, "five-term": from_five_term}
 
 
 def _int_at_least(low: int, wanted: str):
@@ -142,6 +133,7 @@ def parse_const_params(text: str) -> ConstParams:
 
 
 def load_scheme_file(path: str) -> dict:
+    """``{"kind": kind, name: scheme, ...}`` of a three- or five-term scheme file."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:
@@ -151,11 +143,10 @@ def load_scheme_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise FileFormatError("scheme file must hold a JSON object")
     kind = data.get("kind")
-    if kind not in ("three-term", "five-term"):
+    if kind not in tuple(SCHEME_NAMES):
         raise FileFormatError("scheme file needs \"kind\": \"three-term\" or \"five-term\"")
-    wanted = ("f", "g") if kind == "three-term" else ("gamma", "e", "f", "g", "h")
     schemes = {}
-    for name in wanted:
+    for name in SCHEME_NAMES[kind]:
         if name not in data:
             raise FileFormatError(f"scheme file is missing the {name!r} scheme")
         schemes[name] = CoeffScheme.from_dict(data[name])
@@ -191,30 +182,6 @@ def load_triangle_file(path: str) -> Triangle:
 # -- command handlers --------------------------------------------------------------
 
 
-def _triangle_reports(t: Triangle, checks: list[str], tp_order: int) -> list[PropertyReport]:
-    reports = []
-    for check in checks:
-        if check == "rows-log-concave":
-            verdict = PropertyReport("rows-log-concave", (0, t.n_max), HOLDS)
-            for n, row in enumerate(t.rows):
-                r = is_log_concave(NumSeq(row))
-                if not r.holds:
-                    verdict = PropertyReport(
-                        "rows-log-concave", (0, t.n_max), r.verdict,
-                        witness={"row": n, **(r.witness or {})}, note=r.note,
-                    )
-                    break
-            reports.append(verdict)
-        elif check == "rowgen-strong-qlcx":
-            reports.append(is_strongly_q_log_convex(PolySeq(tuple(row_polys(t)))))
-        elif check == "rowgen-strong-qlcv":
-            reports.append(is_strongly_q_log_concave(PolySeq(tuple(row_polys(t)))))
-        elif check == "tp":
-            size = t.n_max + 1
-            reports.append(is_tp_r(t.to_matrix(size, size), tp_order))
-    return reports
-
-
 def _cmd_generate(args) -> tuple[dict, list[dict], int]:
     if args.preset:
         t = build_preset(args.preset, args.n, s=args.s)
@@ -224,13 +191,7 @@ def _cmd_generate(args) -> tuple[dict, list[dict], int]:
         source = {"params": args.params}
     else:
         schemes = load_scheme_file(args.scheme_file)
-        if schemes["kind"] == "three-term":
-            t = from_three_term(schemes["f"], schemes["g"], args.n)
-        else:
-            t = from_five_term(
-                schemes["gamma"], schemes["e"], schemes["f"], schemes["g"],
-                schemes["h"], args.n,
-            )
+        t = _GENERATORS[schemes.pop("kind")](**schemes, n_max=args.n)
         source = {"scheme_file": args.scheme_file}
     serialized = t.serialize()
     if args.out:
@@ -259,7 +220,7 @@ def _cmd_check(args) -> tuple[dict, list[dict], int]:
             raise FileFormatError("--preset needs --n (rows to generate)")
         t = build_preset(args.preset, args.n, s=args.s)
         target = {"preset": args.preset, "s": args.s, "n_max": args.n}
-    reports = _triangle_reports(t, args.checks, args.tp_order)
+    reports = [TRIANGLE_CHECKS[check](t, args.tp_order) for check in args.checks]
     inputs = {**target, "checks": list(args.checks), "tp_order": args.tp_order}
     code = 0
     if any(r.verdict == INAPPLICABLE for r in reports):
@@ -275,12 +236,9 @@ def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
         if not args.schemes:
             raise FileFormatError("conditions thm21 needs --schemes (five-term scheme file)")
         schemes = load_scheme_file(args.schemes)
-        if schemes["kind"] != "five-term":
+        if schemes.pop("kind") != "five-term":
             raise FileFormatError("thm21 takes a five-term scheme file")
-        report = log_concavity_conditions(
-            schemes["gamma"], schemes["e"], schemes["f"], schemes["g"],
-            schemes["h"], args.k_max,
-        )
+        report = log_concavity_conditions(**schemes, k_max=args.k_max)
         inputs = {"theorem": "thm21", "schemes": args.schemes, "k_max": args.k_max}
     else:
         if not args.params:

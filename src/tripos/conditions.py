@@ -22,10 +22,18 @@ from typing import Callable
 
 from .algebra import ExactRat, QPoly, format_exact
 from .properties import FAILS, HOLDS, NumSeq, PropertyReport, is_log_concave
-from .triangles import CoeffScheme, ConstParams, from_const_params, row_poly, row_tail_poly
+from .triangles import (
+    FIVE_TERM_OFFSETS,
+    CoeffScheme,
+    ConstParams,
+    from_const_params,
+    row_poly,
+    row_tail_poly,
+)
 
-# Domain starts of the coefficient sequences; below these the value is 0.
-DOMAIN_START = {"gamma": 2, "e": 1, "f": 0, "g": 0, "h": 0}
+# Domain starts of the coefficient sequences, max(d, 0) for the band offset d
+# (the generator reads no weight below it); below these the value is 0.
+DOMAIN_START = {name: max(d, 0) for name, d in FIVE_TERM_OFFSETS.items()}
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,11 @@ def log_concavity_conditions(
     """The ten sufficient conditions for row log-concavity, over 2 <= k <= k_max.
 
     Sequence values below a sequence's domain start count as 0 inside the
-    inequalities, matching the generator's boundary convention.
+    inequalities, matching the generator's boundary convention.  A k_max
+    below 2 would leave the range empty and raises ``ValueError``.
     """
+    if k_max < 2:
+        raise ValueError(f"k_max must be >= 2, got {k_max}")
     schemes = {"gamma": gamma, "e": e, "f": f, "g": g, "h": h}
 
     def val(name: str, k: int) -> ExactRat:
@@ -177,8 +188,7 @@ def log_concavity_conditions(
         conditions.append(_condition(cid, clause_results))
 
     hypotheses = []
-    for name in ("gamma", "e", "f", "g", "h"):
-        start = DOMAIN_START[name]
+    for name, start in DOMAIN_START.items():
         values = [schemes[name].at(k) for k in range(start, k_max + 2)]
         report = is_log_concave(NumSeq(tuple(values), offset=start))
         hypotheses.append(
@@ -285,7 +295,10 @@ def verify_tail_recurrence(p: ConstParams, n_max: int) -> PropertyReport:
     Both recurrence branches (generic k >= 2 and the special k = 0 head) are
     verified after multiplying through by q^2, so no division by q is ever
     needed; additionally b[n][0] must equal the row generating function.
+    A negative n_max raises ``ValueError``.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     t = from_const_params(p, n_max)
     a, b, c, e, f, g, h = p.as_tuple()
     head_weight = QPoly([a, b, c])  # alpha + beta q + gamma q^2

@@ -9,6 +9,9 @@ comparisons; there is no tolerance anywhere.
 A verdict of ``inapplicable`` means a stated precondition of the property
 (e.g. nonnegativity for log-concavity) failed, which is distinct from the
 property itself failing.
+
+``TRIANGLE_CHECKS`` maps each triangle check name to its checker; the CLI's
+``check`` verb, the survey script and the tests all run checks through it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import ExactRat, QPoly, det_exact, format_exact, poly_geq_q
 from .errors import DimensionError, SequenceRangeError
+from .triangles import Triangle, row_polys
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -395,3 +399,32 @@ def is_q_tp2(matrix: Sequence[Sequence[QPoly]]) -> PropertyReport:
                     },
                 )
     return PropertyReport("q-totally-positive-2", (1, 2), HOLDS)
+
+
+# -- the triangle checks ----------------------------------------------------------
+
+
+def _rows_log_concave(t: Triangle, r: int) -> PropertyReport:
+    """Every row log-concave; a failure names its row in the witness."""
+    for n, row in enumerate(t.rows):
+        report = is_log_concave(NumSeq(row))
+        if not report.holds:
+            return PropertyReport(
+                "rows-log-concave", (0, t.n_max), report.verdict,
+                witness={"row": n, **(report.witness or {})}, note=report.note,
+            )
+    return PropertyReport("rows-log-concave", (0, t.n_max), HOLDS)
+
+
+def _row_gens(t: Triangle) -> PolySeq:
+    return PolySeq(tuple(row_polys(t)))
+
+
+# Check name -> checker of a triangle and a TP order r.  Only "tp" reads r; it
+# checks the square truncation to rows and columns 0..n_max.
+TRIANGLE_CHECKS: dict[str, Callable[[Triangle, int], PropertyReport]] = {
+    "rows-log-concave": _rows_log_concave,
+    "rowgen-strong-qlcx": lambda t, r: is_strongly_q_log_convex(_row_gens(t)),
+    "rowgen-strong-qlcv": lambda t, r: is_strongly_q_log_concave(_row_gens(t)),
+    "tp": lambda t, r: is_tp_r(t.to_matrix(t.n_max + 1, t.n_max + 1), r),
+}

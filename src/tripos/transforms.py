@@ -2,9 +2,9 @@
 
 The central transform maps a polynomial sequence (f_k) to
 ``B_n = sum_k binom(n, k)_s f_k`` using the generalized binomial
-coefficients of :func:`tripos.triangles.bisnomial`; for s = 1 this is the
-classical binomial transform.  The sliding window sum is the elementary
-building block behind it.
+coefficients, read from one pass of :func:`tripos.triangles.from_bisnomial`;
+for s = 1 this is the classical binomial transform.  The sliding window sum
+is the elementary building block behind it.
 
 ``transform_minor_form`` expands the adjacent-product difference
 ``B_{n-1} B_{m+1} - B_n B_m`` symbolically over the inputs, as an integer
@@ -29,7 +29,7 @@ from .properties import (
     is_strongly_q_log_concave,
     is_strongly_q_log_convex,
 )
-from .triangles import bisnomial_row
+from .triangles import from_bisnomial
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,11 @@ def bisnomial_transform(ps: PolySeq, s: int, n_max: int) -> PolySeq:
             f"polynomials, got {len(ps)}"
         )
     polys = ps.polys
+    rows = from_bisnomial(s, n_max).rows
     out = []
     for n in range(n_max + 1):
-        row = bisnomial_row(n, s)
         total = QPoly.ZERO
-        for k, c in enumerate(row):
+        for k, c in enumerate(rows[n]):
             total = total + c * polys[k]
         out.append(total)
     return PolySeq(tuple(out), offset=0)
@@ -127,14 +127,15 @@ def transform_minor_form(n: int, m: int, s: int) -> BilinearForm:
         raise ValueError("need 1 <= n <= m")
     mapping: dict[tuple[int, int], int] = {}
 
-    def accumulate(row_a: list[int], row_b: list[int], sign: int) -> None:
+    def accumulate(row_a: tuple[int, ...], row_b: tuple[int, ...], sign: int) -> None:
         for i, ca in enumerate(row_a):
             for j, cb in enumerate(row_b):
                 key = (i, j) if i <= j else (j, i)
                 mapping[key] = mapping.get(key, 0) + sign * ca * cb
 
-    accumulate(bisnomial_row(n - 1, s), bisnomial_row(m + 1, s), +1)
-    accumulate(bisnomial_row(n, s), bisnomial_row(m, s), -1)
+    rows = from_bisnomial(s, m + 1).rows
+    accumulate(rows[n - 1], rows[m + 1], +1)
+    accumulate(rows[n], rows[m], -1)
     return BilinearForm.from_map(mapping)
 
 

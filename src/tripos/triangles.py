@@ -1,29 +1,41 @@
 """Generators for the triangular arrays and their associated matrices.
 
-Two recurrence shapes are supported:
+Every triangle here follows one banded rule.  Row 0 is a single 1, and row
+n holds arity*n + 1 entries
 
-* three-term (arity 1, row n has n+1 entries):
+  ``T[n][k] = sum over band offsets d of w_d(k) T[n-1][k-d]``
+
+where references outside row n-1 contribute 0.  The weight w_d(k) is read
+for every k >= max(d, 0) of a row and never below (there T[n-1][k-d] lies
+left of the row), so a table scheme that is too short raises
+``SchemeDomainError``.  Head overrides replace single weights.  The public
+generators only name the weights of their band:
+
+* three-term (arity 1; offsets 1, 0, -1 with weights 1, f, g):
   ``C[n][k] = C[n-1][k-1] + f(k) C[n-1][k] + g(k) C[n-1][k+1]``
-* five-term (arity 2, row n has 2n+1 entries):
+* five-term (arity 2; offsets 2..-2 with weights gamma, e, f, g, h):
   ``A[n][k] = gamma(k) A[n-1][k-2] + e(k) A[n-1][k-1] + f(k) A[n-1][k]
-  + g(k) A[n-1][k+1] + h(k) A[n-1][k+2]``
+  + g(k) A[n-1][k+1] + h(k) A[n-1][k+2]``, so the gamma term is active only
+  for k >= 2 and the e term only for k >= 1;
+* constant five-term with the head overrides f(0) = alpha and e(1) = beta:
+  ``A[n][0] = alpha A[n-1][0] + g A[n-1][1] + h A[n-1][2]`` and
+  ``A[n][1] = beta A[n-1][0] + f A[n-1][1] + g A[n-1][2] + h A[n-1][3]``;
+* s-Pascal (arity s; offsets 0..s, every weight 1): row n holds the
+  coefficients of (1 + x + ... + x^s)^n.
 
-plus the constant-coefficient five-term variant whose k = 0 and k = 1 rows
-use the separate weights alpha and beta.  Every generated triangle starts
-from a single 1 in row 0; references outside the previous row contribute 0,
-and in the five-term form the gamma term is active only for k >= 2 and the
-e term only for k >= 1 (for constant schemes this is automatic, since the
-corresponding references vanish anyway).
+``recurrence_matrix`` writes the constant band as a production matrix,
+J[j][k] = w_{k-j}(k) with the heads applied, and each preset is described
+once, by its constant weights or its (f, g) schemes.  The checks that run on
+a generated triangle are registered in ``properties.TRIANGLE_CHECKS``.
 
 Row widths are exact: arity-1 triangles that are embedded in arity-2 form
 keep their structural zero tails, so the pentadiagonal checkers can index
 uniformly.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from operator import add, mul
 from typing import Callable, Sequence
 
 from . import oracles
@@ -208,21 +220,72 @@ class ConstParams:
         }
 
 
-# -- generators ---------------------------------------------------------------
+# -- the banded generator ------------------------------------------------------
+
+# Band offset d of each named five-term weight: w_d(k) multiplies T[n-1][k-d].
+# The three-term recurrence is the band of e = 1, f and g.
+FIVE_TERM_OFFSETS = {"gamma": 2, "e": 1, "f": 0, "g": -1, "h": -2}
+SCHEME_NAMES = {"three-term": ("f", "g"), "five-term": tuple(FIVE_TERM_OFFSETS)}
+
+_Band = dict[int, CoeffScheme]  # offset d -> scheme of the weight w_d
+_Heads = dict[tuple[int, int], ExactRat]  # (d, k) -> value that replaces w_d(k)
+_ONE = CoeffScheme.constant(1)
+
+
+def _named_band(**schemes: CoeffScheme) -> _Band:
+    return {FIVE_TERM_OFFSETS[name]: scheme for name, scheme in schemes.items()}
+
+
+def _band_weights(band: _Band, heads: _Heads, width: int) -> dict[int, list[ExactRat]]:
+    """w_d(k) for 0 <= k < width: 0 below k = max(d, 0), a head override
+    ``heads[d, k]`` where one is given, else the scheme's value.  Schemes are
+    read for k ascending, in band order at each k."""
+    weights = {d: [0] * width for d in band}
+    for k in range(width):
+        for d, scheme in band.items():
+            if k >= d:
+                weights[d][k] = heads[d, k] if (d, k) in heads else scheme.at(k)
+    return weights
+
+
+def _banded(band: _Band, heads: _Heads, arity: int, n_max: int) -> Triangle:
+    """Rows 0..n_max of T[n][k] = sum_d w_d(k) T[n-1][k-d] (see the module docstring).
+
+    Each weight read multiplies its reference even where that is a 0 outside
+    row n-1, so an entry is a ``Fraction`` exactly when one of its weights or
+    references is.  A weight that is the ``int`` 1 wherever it is read is
+    skipped, since 1 * x has the value and type of x.
+    """
+    weights = _band_weights(band, heads, arity * n_max + 1 if n_max > 0 else 0)
+    for d, w in weights.items():
+        if all(type(x) is int and x == 1 for x in w[max(d, 0):]):
+            weights[d] = None
+    hi, lo = max(band), min(band)
+    rows = [(1,)]
+    for n in range(1, n_max + 1):
+        width = arity * n + 1
+        # padded[hi + j] = T[n-1][j], and 0 outside row n-1
+        padded = [0] * hi + list(rows[-1]) + [0] * (arity - lo)
+        row = None
+        for d, w in weights.items():
+            terms = padded[hi - d:hi - d + width]
+            if w is not None:
+                terms = list(map(mul, w, terms))
+            row = terms if row is None else list(map(add, row, terms))
+        rows.append(tuple(row))
+    return Triangle(tuple(rows), arity)
+
+
+def _const_band(p: ConstParams) -> tuple[_Band, _Heads]:
+    """Constant five-term band with the head overrides f(0) = alpha, e(1) = beta."""
+    values = p.as_dict()
+    band = {d: CoeffScheme.constant(values[name]) for name, d in FIVE_TERM_OFFSETS.items()}
+    return band, {(0, 0): p.alpha, (1, 1): p.beta}
 
 
 def from_three_term(f: CoeffScheme, g: CoeffScheme, n_max: int) -> Triangle:
     """Lower-triangular array from the three-term recurrence (arity 1)."""
-    rows: list[list[ExactRat]] = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-
-        def ref(k: int) -> ExactRat:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        row = [ref(k - 1) + f.at(k) * ref(k) + g.at(k) * ref(k + 1) for k in range(n + 1)]
-        rows.append(row)
-    return Triangle(tuple(tuple(r) for r in rows), 1)
+    return _banded(_named_band(e=_ONE, f=f, g=g), {}, 1, n_max)
 
 
 def from_five_term(
@@ -238,58 +301,24 @@ def from_five_term(
     The gamma term participates only for k >= 2 and the e term only for
     k >= 1; table schemes therefore never get queried below those indices.
     """
-    rows: list[list[ExactRat]] = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-
-        def ref(k: int) -> ExactRat:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        row = []
-        for k in range(2 * n + 1):
-            v = f.at(k) * ref(k) + g.at(k) * ref(k + 1) + h.at(k) * ref(k + 2)
-            if k >= 1:
-                v += e.at(k) * ref(k - 1)
-            if k >= 2:
-                v += gamma.at(k) * ref(k - 2)
-            row.append(v)
-        rows.append(row)
-    return Triangle(tuple(tuple(r) for r in rows), 2)
+    # at each k, too-short tables are found in the order f, g, h, e, gamma
+    return _banded(_named_band(f=f, g=g, h=h, e=e, gamma=gamma), {}, 2, n_max)
 
 
 def from_const_params(p: ConstParams, n_max: int) -> Triangle:
     """Constant-coefficient five-term array with alpha/beta head rows (arity 2)."""
-    rows: list[list[ExactRat]] = [[1]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-
-        def ref(k: int) -> ExactRat:
-            return prev[k] if 0 <= k < len(prev) else 0
-
-        row = [p.alpha * ref(0) + p.g * ref(1) + p.h * ref(2)]
-        row.append(p.beta * ref(0) + p.f * ref(1) + p.g * ref(2) + p.h * ref(3))
-        for k in range(2, 2 * n + 1):
-            row.append(
-                p.gamma * ref(k - 2) + p.e * ref(k - 1) + p.f * ref(k)
-                + p.g * ref(k + 1) + p.h * ref(k + 2)
-            )
-        rows.append(row[: 2 * n + 1])
-    return Triangle(tuple(tuple(r) for r in rows), 2)
+    return _banded(*_const_band(p), 2, n_max)
 
 
 # -- generalized binomial rows ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bisnomial_row(n: int, s: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _bisnomial_row(n - 1, s)
-
-    def at(i: int) -> int:
-        return prev[i] if 0 <= i < len(prev) else 0
-
-    return tuple(sum(at(k - j) for j in range(s + 1)) for k in range(s * n + 1))
+def from_bisnomial(s: int, n_max: int) -> Triangle:
+    """The s-Pascal triangle (arity s): row n holds the coefficients of
+    (1 + x + ... + x^s)^n, the band of offsets 0..s with every weight 1."""
+    if s < 1:
+        raise ValueError("s must be a positive integer")
+    return _banded(dict.fromkeys(range(s + 1), _ONE), {}, s, n_max)
 
 
 def bisnomial_row(n: int, s: int) -> list[int]:
@@ -298,7 +327,7 @@ def bisnomial_row(n: int, s: int) -> list[int]:
         raise ValueError("s must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return list(_bisnomial_row(n, s))
+    return list(from_bisnomial(s, n).rows[n])
 
 
 def bisnomial(n: int, k: int, s: int) -> int:
@@ -307,12 +336,7 @@ def bisnomial(n: int, k: int, s: int) -> int:
         raise ValueError("s must be a positive integer")
     if n < 0 or k < 0 or k > s * n:
         return 0
-    return _bisnomial_row(n, s)[k]
-
-
-def from_bisnomial(s: int, n_max: int) -> Triangle:
-    """The s-Pascal triangle (arity s)."""
-    return Triangle(tuple(tuple(bisnomial_row(n, s)) for n in range(n_max + 1)), s)
+    return bisnomial_row(n, s)[k]
 
 
 # -- row generating functions and associated matrices --------------------------
@@ -355,25 +379,15 @@ def q_power_matrix(nrows: int, ncols: int | None = None) -> list[list[QPoly]]:
 
 
 def recurrence_matrix(p: ConstParams, size: int) -> list[list[ExactRat]]:
-    """Banded matrix J with A-bar_n = A_n J_n: first row (alpha, beta, gamma),
-    then rows (..., h, g, f, e, gamma, ...) centered on the diagonal."""
+    """Production matrix J of the constant five-term band, with A-bar_n = A_n J_n:
+    J[j][k] = w_{k-j}(k) with the heads applied, so the first row is
+    (alpha, beta, gamma) and row j >= 1 is (..., h, g, f, e, gamma, ...)
+    centered on the diagonal."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    band = {-2: p.h, -1: p.g, 0: p.f, 1: p.e, 2: p.gamma}
-    m: list[list[ExactRat]] = []
-    first = [0] * size
-    for j, v in ((0, p.alpha), (1, p.beta), (2, p.gamma)):
-        if j < size:
-            first[j] = v
-    m.append(first)
-    for i in range(1, size):
-        row = [0] * size
-        for off, v in band.items():
-            j = i + off
-            if 0 <= j < size:
-                row[j] = v
-        m.append(row)
-    return m
+    weights = _band_weights(*_const_band(p), size)
+    return [[weights[k - j][k] if k - j in weights else 0 for k in range(size)]
+            for j in range(size)]
 
 
 # -- presets --------------------------------------------------------------------
@@ -381,30 +395,20 @@ def recurrence_matrix(p: ConstParams, size: int) -> list[list[ExactRat]]:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named triangle: how to generate it and how to validate it independently.
+    """A named triangle: its weights and how to validate it independently.
 
-    ``schemes`` maps the requested n_max to the (f, g) pair of the three-term
-    recurrence (table-backed presets need to know how far they will be read).
-    ``validate`` receives the generated triangle and the largest row index to
-    verify, and raises OracleMismatchError on any mismatch with its oracle.
+    The three-term presets give either ``const_params`` (the constant
+    five-term weights, with gamma = h = 0) or the (f, g) pair ``schemes``;
+    ``s_pascal`` gives ``s``.  ``validate`` receives the generated triangle
+    and the largest row index to verify, and raises OracleMismatchError on
+    any mismatch with its oracle.
     """
 
     name: str
-    kind: str  # "three-term" | "bisnomial"
-    schemes: Callable[[int], tuple[CoeffScheme, CoeffScheme]] | None = None
-    s: int | None = None
+    validate: Callable[[Triangle, int], None]
     const_params: ConstParams | None = None
-    validate: Callable[[Triangle, int], None] | None = None
-
-
-def _head_tail_schemes(
-    head: ExactRat, tail: ExactRat, g: ExactRat
-) -> Callable[[int], tuple[CoeffScheme, CoeffScheme]]:
-    """(f, g) pair where f has a distinct value at k = 0 and is constant after."""
-    return lambda n_max: (
-        CoeffScheme.table([head] + [tail] * n_max, 0),
-        CoeffScheme.constant(g),
-    )
+    schemes: tuple[CoeffScheme, CoeffScheme] | None = None
+    s: int | None = None
 
 
 def _check_column0(t: Triangle, upto: int, expected: list[int], what: str) -> None:
@@ -441,60 +445,41 @@ def _validate_s_pascal(t: Triangle, upto: int) -> None:
             raise OracleMismatchError(f"s-pascal row {n} not symmetric")
 
 
-def _const_schemes(f: ExactRat, g: ExactRat) -> Callable[[int], tuple[CoeffScheme, CoeffScheme]]:
-    return lambda n_max: (CoeffScheme.constant(f), CoeffScheme.constant(g))
-
-
 PRESETS: dict[str, Preset] = {
-    "pascal": Preset(
-        "pascal", "three-term",
-        schemes=_const_schemes(1, 0),
-        const_params=ConstParams(1, 1, 0, 1, 1, 0, 0),
-        validate=_validate_pascal,
-    ),
-    "stirling2": Preset(
-        "stirling2", "three-term",
-        schemes=lambda n: (CoeffScheme.affine(1, 1), CoeffScheme.constant(0)),
-        validate=_validate_stirling2,
-    ),
+    "pascal": Preset("pascal", _validate_pascal, ConstParams(1, 1, 0, 1, 1, 0, 0)),
+    "stirling2": Preset("stirling2", _validate_stirling2,
+                        schemes=(CoeffScheme.affine(1, 1), CoeffScheme.constant(0))),
     "aigner_catalan": Preset(
-        "aigner_catalan", "three-term",
-        schemes=_head_tail_schemes(1, 2, 1),
-        const_params=ConstParams(1, 1, 0, 1, 2, 1, 0),
-        validate=lambda t, upto: _check_column0(
+        "aigner_catalan",
+        lambda t, upto: _check_column0(
             t, upto, oracles.catalan_numbers(upto), "aigner_catalan"
         ),
+        ConstParams(1, 1, 0, 1, 2, 1, 0),
     ),
-    "shapiro_catalan": Preset(
-        "shapiro_catalan", "three-term",
-        schemes=_const_schemes(2, 1),
-        const_params=ConstParams(2, 1, 0, 1, 2, 1, 0),
-        validate=_validate_shapiro,
-    ),
+    "shapiro_catalan": Preset("shapiro_catalan", _validate_shapiro,
+                              ConstParams(2, 1, 0, 1, 2, 1, 0)),
     "motzkin": Preset(
-        "motzkin", "three-term",
-        schemes=_const_schemes(1, 1),
-        const_params=ConstParams(1, 1, 0, 1, 1, 1, 0),
-        validate=lambda t, upto: _check_column0(
+        "motzkin",
+        lambda t, upto: _check_column0(
             t, upto, oracles.motzkin_numbers(upto), "motzkin"
         ),
+        ConstParams(1, 1, 0, 1, 1, 1, 0),
     ),
     "bell": Preset(
-        "bell", "three-term",
-        schemes=lambda n: (CoeffScheme.affine(1, 1), CoeffScheme.affine(1, 1)),
-        validate=lambda t, upto: _check_column0(
+        "bell",
+        lambda t, upto: _check_column0(
             t, upto, oracles.bell_numbers(upto), "bell"
         ),
+        schemes=(CoeffScheme.affine(1, 1), CoeffScheme.affine(1, 1)),
     ),
     "schroder_large": Preset(
-        "schroder_large", "three-term",
-        schemes=_head_tail_schemes(2, 3, 2),
-        const_params=ConstParams(2, 1, 0, 1, 3, 2, 0),
-        validate=lambda t, upto: _check_column0(
+        "schroder_large",
+        lambda t, upto: _check_column0(
             t, upto, oracles.large_schroder_numbers(upto), "schroder_large"
         ),
+        ConstParams(2, 1, 0, 1, 3, 2, 0),
     ),
-    "s_pascal": Preset("s_pascal", "bisnomial", validate=_validate_s_pascal),
+    "s_pascal": Preset("s_pascal", _validate_s_pascal),
 }
 
 PRESET_NAMES = tuple(sorted(PRESETS))
@@ -511,7 +496,7 @@ def preset(name: str, s: int | None = None) -> Preset:
     if name == "s_pascal":
         if s is None or s < 1:
             raise UnknownPresetError("preset s_pascal needs a positive s")
-        return Preset(p.name, p.kind, s=s, validate=p.validate)
+        return replace(p, s=s)
     return p
 
 
@@ -521,11 +506,14 @@ def build_preset(name: str, n_max: int, s: int | None = None, validate: bool = T
     Validation runs on min(n_max, VALIDATE_ROWS) rows unless disabled.
     """
     p = preset(name, s)
-    if p.kind == "bisnomial":
+    if p.s is not None:
         t = from_bisnomial(p.s, n_max)
+    elif p.schemes is not None:
+        t = from_three_term(*p.schemes, n_max)
     else:
-        f, g = p.schemes(n_max)
-        t = from_three_term(f, g, n_max)
-    if validate and p.validate is not None:
+        # gamma = h = 0, so offsets -1..1 of the band generate it in arity 1
+        band, heads = _const_band(p.const_params)
+        t = _banded({d: band[d] for d in (1, 0, -1)}, heads, 1, n_max)
+    if validate:
         p.validate(t, min(n_max, VALIDATE_ROWS))
     return t

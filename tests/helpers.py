@@ -158,3 +158,74 @@ def has_internal_zero_gap(values) -> bool:
         if b - a >= 3 and all(v == 0 for v in values[a + 1:b]):
             return True
     return False
+
+
+# -- schoolbook recurrences ------------------------------------------------------
+#
+# Each formula is written out term by term, as printed in the triangles module
+# docstring; ``f``, ``g``, ... are callables k -> weight.  A term that the
+# formula switches off below some k is never evaluated there, so table-backed
+# weights are read exactly where the formula reads them.
+
+
+def _ref(row, k):
+    return row[k] if 0 <= k < len(row) else 0
+
+
+def schoolbook_three_term(f, g, n_max):
+    """C[n][k] = C[n-1][k-1] + f(k) C[n-1][k] + g(k) C[n-1][k+1], k = 0..n."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        c = rows[-1]
+        rows.append([_ref(c, k - 1) + f(k) * _ref(c, k) + g(k) * _ref(c, k + 1)
+                     for k in range(n + 1)])
+    return rows
+
+
+def schoolbook_five_term(gamma, e, f, g, h, n_max):
+    """A[n][k] = gamma(k) A[n-1][k-2] + e(k) A[n-1][k-1] + f(k) A[n-1][k]
+    + g(k) A[n-1][k+1] + h(k) A[n-1][k+2], k = 0..2n, with the gamma term
+    only for k >= 2 and the e term only for k >= 1."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        a = rows[-1]
+        row = []
+        for k in range(2 * n + 1):
+            v = f(k) * _ref(a, k) + g(k) * _ref(a, k + 1) + h(k) * _ref(a, k + 2)
+            if k >= 1:
+                v += e(k) * _ref(a, k - 1)
+            if k >= 2:
+                v += gamma(k) * _ref(a, k - 2)
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def schoolbook_alpha_beta(p, n_max):
+    """Constant five-term rows with the alpha/beta heads:
+    A[n][0] = alpha A[n-1][0] + g A[n-1][1] + h A[n-1][2],
+    A[n][1] = beta A[n-1][0] + f A[n-1][1] + g A[n-1][2] + h A[n-1][3],
+    and the five-term formula for k >= 2."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        a = rows[-1]
+        row = [p.alpha * _ref(a, 0) + p.g * _ref(a, 1) + p.h * _ref(a, 2),
+               p.beta * _ref(a, 0) + p.f * _ref(a, 1) + p.g * _ref(a, 2) + p.h * _ref(a, 3)]
+        for k in range(2, 2 * n + 1):
+            row.append(p.gamma * _ref(a, k - 2) + p.e * _ref(a, k - 1) + p.f * _ref(a, k)
+                       + p.g * _ref(a, k + 1) + p.h * _ref(a, k + 2))
+        rows.append(row)
+    return rows
+
+
+def schoolbook_recurrence_matrix(p, size):
+    """First row (alpha, beta, gamma, 0, ...), then row i >= 1 holds
+    h, g, f, e, gamma in columns i-2 .. i+2 (those inside the matrix)."""
+    m = [[0] * size for _ in range(size)]
+    for j, v in enumerate((p.alpha, p.beta, p.gamma)[:size]):
+        m[0][j] = v
+    for i in range(1, size):
+        for j, v in zip(range(i - 2, i + 3), (p.h, p.g, p.f, p.e, p.gamma)):
+            if 0 <= j < size:
+                m[i][j] = v
+    return m

@@ -1,14 +1,17 @@
 """CLI surface: exit-status contract, JSON determinism, file round trips."""
 
 import contextlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripos.cli import main
+from tripos.cli import CHECK_NAMES, main
+from tripos.properties import TRIANGLE_CHECKS
 from tripos.triangles import PRESET_NAMES, Triangle, bisnomial_row, build_preset, row_polys
 
 
@@ -461,3 +464,38 @@ def test_cli_exit_contract_fuzz(tmp_path_factory, argv, data):
     assert "Traceback" not in err.getvalue(), argv
     if code == 1:
         assert any(_failing_report(r) for r in json.loads(out.getvalue())["reports"]), argv
+
+
+# -- the check registry and the survey script ----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["motzkin", "bell", "s_pascal"])
+def test_check_reports_come_from_the_registry(capsys, name):
+    s = 2 if name == "s_pascal" else None
+    argv = ["check", "--preset", name, "--n", "9", "--tp-order", "3", *CHECK_NAMES]
+    if s is not None:
+        argv += ["--s", str(s)]
+    code, report, _ = run(capsys, *argv)
+    assert CHECK_NAMES == tuple(TRIANGLE_CHECKS)
+    t = build_preset(name, 9, s=s)
+    expected = [TRIANGLE_CHECKS[check](t, 3).to_dict() for check in CHECK_NAMES]
+    assert report["reports"] == json.loads(json.dumps(expected))
+    assert code == (0 if all(r["verdict"] == "holds" for r in expected) else 1)
+
+
+def test_survey_script_smoke(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "survey_properties.py"
+    spec = importlib.util.spec_from_file_location("survey_properties", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    out = tmp_path / "survey.json"
+    assert survey.main(["--n", "8", "--json", str(out)]) == 0
+    results = json.loads(out.read_text())
+    base = {"rows-log-concave", "rowgen-strong-qlcx", "matrix-tp2"}
+    const = base | {"conditions-established", "recurrence-matrix-tp2", "tail-recurrence",
+                    "deleted-row-identity", "transform-preserves"}
+    assert {name: set(flags) for name, flags in results.items()} == {
+        name: base if name in ("bell", "s_pascal", "stirling2") else const
+        for name in PRESET_NAMES
+    }
+    assert all(all(flags.values()) for flags in results.values())

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from tripos.conditions import (
     log_concavity_conditions,
     log_concavity_conditions_const,
@@ -203,3 +205,20 @@ class TestTailRecurrence:
     def test_all_const_presets(self):
         for name in CONST_PRESETS:
             assert verify_tail_recurrence(preset(name).const_params, 10).holds, name
+
+
+class TestEmptyRanges:
+    def test_k_max_below_two_raises(self):
+        # f = 3 breaks condition (8) at k = 2; below 2 the range is empty.
+        schemes = (ONE, ONE, const(3), ONE, ONE)
+        assert not log_concavity_conditions(*schemes, k_max=2).established
+        for k_max in (1, 0, -3):
+            with pytest.raises(ValueError):
+                log_concavity_conditions(*schemes, k_max=k_max)
+
+    def test_negative_tail_recurrence_n_max_raises(self):
+        p = ConstParams(1, 1, 1, 1, 1, 1, 1)
+        assert verify_tail_recurrence(p, 0).checked == (1, 0)
+        for n_max in (-1, -2):
+            with pytest.raises(ValueError):
+                verify_tail_recurrence(p, n_max)

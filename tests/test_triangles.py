@@ -3,13 +3,20 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expansion_bisnomial_row
+from helpers import (
+    expansion_bisnomial_row,
+    schoolbook_alpha_beta,
+    schoolbook_five_term,
+    schoolbook_recurrence_matrix,
+    schoolbook_three_term,
+)
 from tripos import oracles
 from tripos.algebra import QPoly, mat_mul
 from tripos.errors import (
@@ -192,7 +199,7 @@ class TestPresets:
             "from tripos.errors import OracleMismatchError\n"
             "p = triangles.PRESETS['motzkin']\n"
             "triangles.PRESETS['motzkin'] = dataclasses.replace(\n"
-            "    p, schemes=triangles._const_schemes(1, 2))\n"
+            "    p, const_params=triangles.ConstParams(1, 1, 0, 1, 1, 2, 0))\n"
             "try:\n"
             "    triangles.build_preset('motzkin', 6)\n"
             "except OracleMismatchError as exc:\n"
@@ -341,3 +348,77 @@ class TestSchemes:
         for s in (CoeffScheme.constant(3), CoeffScheme.affine(1, 2),
                   CoeffScheme.table([1, 2, 3], 1)):
             assert CoeffScheme.from_dict(s.to_dict()) == s
+
+
+# -- generators against the schoolbook formulas ------------------------------------
+
+weights = st.one_of(
+    st.integers(-2, 3),
+    st.builds(Fraction, st.integers(-3, 5), st.integers(2, 3)),
+)
+nonneg_weights = st.one_of(
+    st.integers(0, 3),
+    st.builds(Fraction, st.integers(0, 5), st.integers(1, 3)),
+)
+# Tables start at 0..2 and may be too short for the rows requested.
+coeff_schemes = st.one_of(
+    st.builds(CoeffScheme.constant, weights),
+    st.builds(CoeffScheme.affine, weights, weights),
+    st.builds(CoeffScheme.table, st.lists(weights, max_size=16), st.integers(0, 2)),
+)
+const_params = st.builds(ConstParams, *[nonneg_weights] * 7)
+
+
+def _typed(rows):
+    return [[(x, type(x)) for x in row] for row in rows]
+
+
+def assert_same_rows(generate, reference):
+    """Equal entries of equal type, or the same exception from both."""
+    try:
+        expected = reference()
+    except SchemeDomainError as exc:
+        with pytest.raises(type(exc)):
+            generate()
+        return
+    assert _typed(generate().rows) == _typed(expected)
+
+
+class TestAgainstSchoolbook:
+    @given(coeff_schemes, coeff_schemes, st.integers(0, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_three_term(self, f, g, n_max):
+        assert_same_rows(lambda: from_three_term(f, g, n_max),
+                         lambda: schoolbook_three_term(f.at, g.at, n_max))
+
+    @given(st.lists(coeff_schemes, min_size=5, max_size=5), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_five_term(self, schemes, n_max):
+        assert_same_rows(lambda: from_five_term(*schemes, n_max),
+                         lambda: schoolbook_five_term(*(s.at for s in schemes), n_max))
+
+    @given(const_params, st.integers(0, 6), st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_const_params_and_recurrence_matrix(self, p, n_max, size):
+        assert_same_rows(lambda: from_const_params(p, n_max),
+                         lambda: schoolbook_alpha_beta(p, n_max))
+        assert _typed(recurrence_matrix(p, size)) == _typed(schoolbook_recurrence_matrix(p, size))
+
+    @given(st.integers(1, 4), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_bisnomial(self, s, n_max):
+        expected = [expansion_bisnomial_row(n, s) for n in range(n_max + 1)]
+        assert _typed(from_bisnomial(s, n_max).rows) == _typed(expected)
+        assert _typed([bisnomial_row(n_max, s)]) == _typed(expected[-1:])
+
+    def test_short_table_raises_as_the_schoolbook_does(self):
+        short = CoeffScheme.table([1, 2], start=1)
+        for generate, reference in (
+            (lambda: from_three_term(ONE, short, 3),
+             lambda: schoolbook_three_term(ONE.at, short.at, 3)),
+            (lambda: from_five_term(short, ONE, ONE, ONE, ONE, 2),
+             lambda: schoolbook_five_term(short.at, ONE.at, ONE.at, ONE.at, ONE.at, 2)),
+        ):
+            with pytest.raises(SchemeDomainError):
+                reference()
+            assert_same_rows(generate, reference)
