@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--schemes", metavar="PATH", help="JSON scheme file (thm21)")
     cond.add_argument("--k-max", type=_int_at_least(2, "an integer >= 2"), default=30,
                       help="largest k of the thm21 conditions, which range over 2 <= k <= k_max")
-    cond.add_argument("--tail-recurrence", type=_nonnegative_int, metavar="N", default=None,
+    cond.add_argument("--tail-recurrence", type=_positive_int, metavar="N", default=None,
                       help="also verify the tail-sum recurrence identity up to row N")
 
     tra = sub.add_parser("transform", help="apply the generalized binomial transform "

@@ -295,10 +295,10 @@ def verify_tail_recurrence(p: ConstParams, n_max: int) -> PropertyReport:
     Both recurrence branches (generic k >= 2 and the special k = 0 head) are
     verified after multiplying through by q^2, so no division by q is ever
     needed; additionally b[n][0] must equal the row generating function.
-    A negative n_max raises ``ValueError``.
+    An n_max below 1, which would certify no row, raises ``ValueError``.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     t = from_const_params(p, n_max)
     a, b, c, e, f, g, h = p.as_tuple()
     head_weight = QPoly([a, b, c])  # alpha + beta q + gamma q^2

@@ -144,28 +144,35 @@ def is_log_convex(s: NumSeq) -> PropertyReport:
 # -- polynomial sequences -----------------------------------------------------
 
 
-def _kronecker(polys: Sequence[QPoly]) -> tuple[list[int], int] | None:
-    """Pack integer polynomials for the pair test, or ``None`` if any
-    coefficient is not exactly ``int``.
+def _kronecker(polys: Sequence[QPoly]) -> tuple[list[int], int]:
+    """Pack polynomials for the pair test.
 
-    Returns each f as f(2^w) and the guard word G with bit b set in each of
-    the 2L-1 slots of width w = b + 1 that a product of two of them spans.
-    With M the largest coefficient bit-length and L the longest length,
-    every coefficient of a difference of two such products lies strictly
-    between -2^b and 2^b for b = 2M + L.bit_length() + 1.  So G + X - Y
-    writes each coefficient c as the slot digit 2^b + c with no borrow into
-    the next slot, and its guard bit is set exactly when c >= 0.
+    If any coefficient is not exactly ``int``, every polynomial is first
+    multiplied by D, the lcm of all coefficient denominators.  One common
+    D > 0 scales both products of every pair by D^2, so no coefficient of
+    their difference changes sign.  An all-``int`` sequence is packed as it
+    stands.
+
+    Returns each (scaled) f as f(2^w) and the guard word G with bit b set in
+    each of the 2L-1 slots of width w = b + 1 that a product of two of them
+    spans.  With M the largest scaled coefficient bit-length and L the
+    longest length, every coefficient of a difference of two such products
+    lies strictly between -2^b and 2^b for b = 2M + L.bit_length() + 1.  So
+    G + X - Y writes each coefficient c as the slot digit 2^b + c with no
+    borrow into the next slot, and its guard bit is set exactly when c >= 0.
     """
-    if any(type(c) is not int for p in polys for c in p.coeffs):
-        return None
-    bits = max((abs(c).bit_length() for p in polys for c in p.coeffs), default=0)
-    length = max(max(len(p.coeffs) for p in polys), 1)
+    rows = [p.coeffs for p in polys]
+    if any(type(c) is not int for cs in rows for c in cs):
+        d = lcm(*(c.denominator for cs in rows for c in cs))
+        rows = [[c.numerator * (d // c.denominator) for c in cs] for cs in rows]
+    bits = max((abs(c).bit_length() for cs in rows for c in cs), default=0)
+    length = max(max(map(len, rows)), 1)
     b = 2 * bits + length.bit_length() + 1
     w = b + 1
     packed = []
-    for p in polys:
+    for cs in rows:
         v = 0
-        for c in reversed(p.coeffs):
+        for c in reversed(cs):
             v = (v << w) + c
         packed.append(v)
     slots = 2 * length - 1
@@ -181,44 +188,40 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     variants restrict to m == n.  Pairs are scanned in lexicographic (n, m)
     order so the reported witness is the least failure.
 
-    Integer sequences are decided on Kronecker-packed integers (see
-    :func:`_kronecker`); the first failing pair is then recomputed with
-    ``QPoly`` products so the witness is the same on either path.  The
-    outer product f_{n-1} f_{m+1} of pair (n, m) is the inner product of
-    pair (n-1, m+1), so each row's packed inner products are carried into
-    the next row; only the previous and the current row are kept.
+    Pairs are decided on Kronecker-packed integers (see :func:`_kronecker`);
+    the first failing pair is then recomputed with ``QPoly`` products of the
+    original polynomials, which gives its witness.  The outer product
+    f_{n-1} f_{m+1} of pair (n, m) is the inner product of pair
+    (n-1, m+1), so each row's packed inner products are carried into the
+    next row; only the previous and the current row are kept.
     """
     polys = ps.polys
     lo, hi = ps.offset, ps.offset + len(polys) - 1
-    packing = _kronecker(polys)
-    if packing is not None:
-        packed, guard = packing
+    packed, guard = _kronecker(polys)
     carried: dict[int, int] = {}
     for ni in range(1, len(polys) - 1):
         m_range = (ni,) if adjacent_only else range(ni, len(polys) - 1)
         row: dict[int, int] = {}
         for mi in m_range:
-            if packing is not None:
-                outer = carried.get(mi + 1)
-                if outer is None:
-                    outer = packed[ni - 1] * packed[mi + 1]
-                inner = row[mi] = packed[ni] * packed[mi]
-                d = guard + outer - inner if convex else guard + inner - outer
-                if d & guard == guard:
-                    continue
+            outer = carried.get(mi + 1)
+            if outer is None:
+                outer = packed[ni - 1] * packed[mi + 1]
+            inner = row[mi] = packed[ni] * packed[mi]
+            d = guard + outer - inner if convex else guard + inner - outer
+            if d & guard == guard:
+                continue
             outer = polys[ni - 1] * polys[mi + 1]
             inner = polys[ni] * polys[mi]
             verdict = poly_geq_q(outer, inner) if convex else poly_geq_q(inner, outer)
-            if not verdict:
-                return PropertyReport(
-                    prop, (lo, hi), FAILS,
-                    witness={
-                        "n": ps.offset + ni,
-                        "m": ps.offset + mi,
-                        "coeff_index": verdict.index,
-                        "coeff": verdict.value,
-                    },
-                )
+            return PropertyReport(
+                prop, (lo, hi), FAILS,
+                witness={
+                    "n": ps.offset + ni,
+                    "m": ps.offset + mi,
+                    "coeff_index": verdict.index,
+                    "coeff": verdict.value,
+                },
+            )
         carried = row
     return PropertyReport(prop, (lo, hi), HOLDS)
 
@@ -328,6 +331,18 @@ def _first_negative_minor(
     return walk(0, (), [1])
 
 
+def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
+    """Row and column counts of a matrix; a ragged one raises ``DimensionError``."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise DimensionError(
+                f"row {i} has {len(row)} entries, row 0 has {ncols}"
+            )
+    return nrows, ncols
+
+
 def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     """Total positivity of order r: every minor of order <= r is nonnegative.
 
@@ -339,13 +354,7 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     """
     if r < 1:
         raise ValueError("minor order r must be >= 1")
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    for i, row in enumerate(matrix):
-        if len(row) != ncols:
-            raise DimensionError(
-                f"row {i} has {len(row)} entries, row 0 has {ncols}"
-            )
+    nrows, ncols = _shape(matrix)
     note = None
     r_eff = min(r, nrows, ncols)
     if r_eff < r:
@@ -381,9 +390,9 @@ def is_pf_r(s: NumSeq, r: int, window: int) -> PropertyReport:
 
 
 def is_q_tp2(matrix: Sequence[Sequence[QPoly]]) -> PropertyReport:
-    """Every 2x2 minor of a polynomial matrix is >=_q 0."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    """Every 2x2 minor of a polynomial matrix is >=_q 0; a ragged matrix
+    raises ``DimensionError``."""
+    nrows, ncols = _shape(matrix)
     for rows in combinations(range(nrows), 2):
         for cols in combinations(range(ncols), 2):
             i1, i2 = rows

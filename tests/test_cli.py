@@ -373,6 +373,14 @@ class TestArgumentBounds:
         assert report is None
         assert "--tail-recurrence" in err
 
+    def test_zero_tail_recurrence_exit2(self, capsys):
+        # Rows 1..0 are an empty range, so there is nothing to certify.
+        code, report, err = run(capsys, "conditions", "thm34", "--params", "1,1,1,1,1,1,1",
+                                "--tail-recurrence", "0")
+        assert code == 2
+        assert report is None
+        assert "--tail-recurrence" in err
+
     def test_arity_flag_below_one_exit2(self, capsys):
         code, report, err = run(capsys, "check", "--preset", "pascal", "--n", "3",
                                 "--arity", "-1", "rows-log-concave")

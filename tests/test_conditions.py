@@ -218,7 +218,7 @@ class TestEmptyRanges:
 
     def test_negative_tail_recurrence_n_max_raises(self):
         p = ConstParams(1, 1, 1, 1, 1, 1, 1)
-        assert verify_tail_recurrence(p, 0).checked == (1, 0)
-        for n_max in (-1, -2):
+        assert verify_tail_recurrence(p, 1).checked == (1, 1)
+        for n_max in (0, -1, -2):
             with pytest.raises(ValueError):
                 verify_tail_recurrence(p, n_max)

@@ -244,6 +244,17 @@ class TestQTotalPositivity:
         t = build_preset("motzkin", 4)
         assert is_q_tp2(row_tail_matrix(t, 4, 4)).holds
 
+    def test_short_row_rejected(self):
+        one = QPoly([1])
+        with pytest.raises(DimensionError):
+            is_q_tp2([[one, one], [one]])
+
+    def test_long_row_rejected(self):
+        # Reading only row 0's two columns would find every minor zero.
+        one, q = QPoly([1]), QPoly([0, 1])
+        with pytest.raises(DimensionError):
+            is_q_tp2([[one, one], [one, one, q]])
+
 
 class TestEquivalences:
     """Classical characterizations, quantified over seeded random sequences.
@@ -419,6 +430,13 @@ big_ints = st.builds(lambda sign, v: sign * v, st.sampled_from((1, -1)),
                      st.integers(2**200, 2**202))
 int_coeffs = st.one_of(st.integers(-3, 9), big_ints)
 fraction_coeffs = st.fractions(min_value=-3, max_value=9, max_denominator=4)
+# Denominators up to about 10^6, among them coprime primes, so that the common
+# denominator of a sequence is far larger than that of any one polynomial.
+PRIMES = (2, 3, 7, 999959, 999961, 999979, 999983)
+prime_fractions = st.builds(Fraction, st.integers(-3 * 10**6, 9 * 10**6), st.sampled_from(PRIMES))
+wide_fractions = st.one_of(
+    st.fractions(min_value=-3, max_value=9, max_denominator=10**6), prime_fractions)
+unit_fractions = st.integers(-3, 9).map(Fraction)
 
 
 def poly_seqs(coeffs):
@@ -448,6 +466,20 @@ def perturbed_powers(draw):
     return [QPoly(p) for p in polys]
 
 
+@st.composite
+def rational_powers(draw):
+    """c^k (1+q)^k for a rational c, shaped like the rational transform inputs:
+    every variant holds with equality.  One coefficient perturbed, possibly by
+    a fraction with a new denominator, gives a late witness or none."""
+    c = Fraction(draw(st.integers(1, 9)), draw(st.sampled_from((1, 5, 9) + PRIMES)))
+    polys = [list((c**k * QPoly([1, 1]) ** k).coeffs)
+             for k in range(draw(st.integers(1, 12)))]
+    i = draw(st.integers(0, len(polys) - 1))
+    j = draw(st.integers(0, len(polys[i]) - 1))
+    polys[i][j] += draw(st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1,) + PRIMES)))
+    return [QPoly(p) for p in polys]
+
+
 # Motzkin row polynomials 0..9 with one end replaced, so that the only failing
 # strongly-q-log-convex pair is (3, 8), the last pair of row 3, whose outer
 # product f_2 f_9 is the one formed afresh in that row; or (1, 2), inside row 1,
@@ -463,8 +495,11 @@ ROW_ONE_ONLY = [QPoly([41, -40, 40, -20, 0, 40]), *MOTZKIN_ROWGENS[1:]]
         poly_seqs(int_coeffs),
         poly_seqs(fraction_coeffs),
         poly_seqs(st.one_of(int_coeffs, fraction_coeffs)),
+        poly_seqs(wide_fractions),
+        poly_seqs(st.one_of(int_coeffs, unit_fractions, wide_fractions)),
         extreme_seqs(),
         perturbed_powers(),
+        rational_powers(),
     ),
     st.integers(-5, 5),
 )
@@ -487,19 +522,41 @@ def test_pair_checks_match_reference(polys, offset):
             assert type(report.witness["coeff"]) is type(coeff)
 
 
+def test_rational_scan_forms_qpoly_products_only_for_its_witness(monkeypatch):
+    c = Fraction(3, 7)
+    polys = [c**k * QPoly([1, 1]) ** k for k in range(12)]
+    broken = polys[:-1] + [polys[-1] - QPoly([Fraction(1, 999983)])]
+    products = []
+    mul = QPoly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counted)
+    assert is_strongly_q_log_convex(PolySeq(polys)).holds
+    assert len(products) == 0
+    report = is_strongly_q_log_convex(PolySeq(broken))
+    assert (report.witness["n"], report.witness["m"]) == (1, 10)
+    assert len(products) == 2
+
+
 @pytest.mark.parametrize("length", range(1, 9))
 @pytest.mark.parametrize("bits", (1, 2, 3, 7, 64))
 def test_kronecker_width_bounds_extreme_differences(length, bits):
     # A false "holds" is the one packing error a witness recomputation
     # cannot catch, so the bound is checked where it is tightest: two
     # products of all-(2^M - 1) polynomials of one length, opposite signs.
+    # The Fraction case, top/D with D a prime near 10^6, packs its polynomials
+    # times D: the same integers, so the same bound is checked.
     top = 2**bits - 1
     polys = (QPoly([top] * length), QPoly([-top] * length))
-    packed, guard = _kronecker(polys)
-    b = (guard & -guard).bit_length() - 1
-    w = b + 1
-    worst = max(abs(c) for c in (polys[0] * polys[0] - polys[0] * polys[1]).coeffs)
-    assert worst == 2 * length * top * top
-    assert worst < 2**b
-    assert bin(guard).count("1") == 2 * length - 1
-    assert [sum(c << w * i for i, c in enumerate(p.coeffs)) for p in polys] == packed
+    for scale in (1, Fraction(1, 999983)):
+        packed, guard = _kronecker([scale * p for p in polys])
+        b = (guard & -guard).bit_length() - 1
+        w = b + 1
+        worst = max(abs(c) for c in (polys[0] * polys[0] - polys[0] * polys[1]).coeffs)
+        assert worst == 2 * length * top * top
+        assert worst < 2**b
+        assert bin(guard).count("1") == 2 * length - 1
+        assert [sum(c << w * i for i, c in enumerate(p.coeffs)) for p in polys] == packed
