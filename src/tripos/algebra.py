@@ -156,10 +156,6 @@ QPoly.ONE = QPoly([1])
 QPoly.Q = QPoly([0, 1])
 
 
-def q_power(k: int) -> QPoly:
-    return QPoly([0] * k + [1])
-
-
 @dataclass(frozen=True)
 class GeqVerdict:
     """Outcome of a coefficientwise >= comparison.

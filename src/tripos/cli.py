@@ -25,7 +25,7 @@ from .conditions import (
 )
 from .errors import FileFormatError, TriposError
 from .oeis import fetch_bfile, reshape, resolve_cache_dir, trim_to_rows
-from .properties import HOLDS, INAPPLICABLE, TRIANGLE_CHECKS, PolySeq
+from .properties import FAILS, INAPPLICABLE, TRIANGLE_CHECKS, PolySeq
 from .transforms import check_preservation
 from .triangles import (
     PRESET_NAMES,
@@ -222,16 +222,11 @@ def _cmd_check(args) -> tuple[dict, list[dict], int]:
         target = {"preset": args.preset, "s": args.s, "n_max": args.n}
     reports = [TRIANGLE_CHECKS[check](t, args.tp_order) for check in args.checks]
     inputs = {**target, "checks": list(args.checks), "tp_order": args.tp_order}
-    code = 0
-    if any(r.verdict == INAPPLICABLE for r in reports):
-        code = 3
-    if any(not r.holds and r.verdict != INAPPLICABLE for r in reports):
-        code = 1
-    return inputs, [r.to_dict() for r in reports], code
+    return inputs, [r.to_dict() for r in reports], _verdict_code(reports)
 
 
 def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
-    reports: list[dict] = []
+    identity = None
     if args.theorem == "thm21":
         if not args.schemes:
             raise FileFormatError("conditions thm21 needs --schemes (five-term scheme file)")
@@ -252,12 +247,12 @@ def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
         if args.tail_recurrence is not None:
             identity = verify_tail_recurrence(params, args.tail_recurrence)
             inputs["tail_recurrence_n_max"] = args.tail_recurrence
-            reports.append(identity.to_dict())
-            if not identity.holds:
-                reports.insert(0, report.to_dict())
-                return inputs, reports, 1
-    reports.insert(0, report.to_dict())
-    return inputs, reports, 0 if report.established else 1
+    reports = [report.to_dict()]
+    ok = report.established
+    if identity is not None:
+        reports.append(identity.to_dict())
+        ok = ok and identity.holds
+    return inputs, reports, 0 if ok else 1
 
 
 def _cmd_transform(args) -> tuple[dict, list[dict], int]:
@@ -271,13 +266,16 @@ def _cmd_transform(args) -> tuple[dict, list[dict], int]:
     body = report.to_dict()
     if report.transformed is not None:
         body["transformed"] = [str(p) for p in report.transformed.polys]
-    if report.verdict == HOLDS:
-        code = 0
-    elif report.verdict == INAPPLICABLE:
-        code = 3
-    else:
-        code = 1
-    return inputs, [body], code
+    return inputs, [body], _verdict_code([report])
+
+
+def _verdict_code(reports) -> int:
+    """Exit status of a run: 1 if any verdict fails, else 3 if any is
+    inapplicable, else 0."""
+    verdicts = {r.verdict for r in reports}
+    if FAILS in verdicts:
+        return 1
+    return 3 if INAPPLICABLE in verdicts else 0
 
 
 _HANDLERS = {

@@ -17,7 +17,7 @@ reported individually with the first failing index and both sides' values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .algebra import ExactRat, QPoly, format_exact
@@ -191,12 +191,7 @@ def log_concavity_conditions(
     for name, start in DOMAIN_START.items():
         values = [schemes[name].at(k) for k in range(start, k_max + 2)]
         report = is_log_concave(NumSeq(tuple(values), offset=start))
-        hypotheses.append(
-            PropertyReport(
-                f"{name}-log-concave", report.checked, report.verdict,
-                witness=report.witness, note=report.note,
-            )
-        )
+        hypotheses.append(replace(report, prop=f"{name}-log-concave"))
 
     return ConditionReport("thm21", tuple(conditions), tuple(hypotheses))
 
@@ -292,10 +287,26 @@ def q_log_convexity_conditions(p: ConstParams) -> ConditionReport:
 def verify_tail_recurrence(p: ConstParams, n_max: int) -> PropertyReport:
     """Exact polynomial identity satisfied by the tail sums b[n][k](q).
 
-    Both recurrence branches (generic k >= 2 and the special k = 0 head) are
-    verified after multiplying through by q^2, so no division by q is ever
-    needed; additionally b[n][0] must equal the row generating function.
-    An n_max below 1, which would certify no row, raises ``ValueError``.
+    The identity is checked after multiplying through by q^2, so no division
+    by q is ever needed.  With T' = row n-1, the head branch (k = 0) reads
+
+        q^2 b[n][0] = (alpha + beta q + gamma q^2) q^2 b[n-1][0]
+                      + (g q + (f-alpha) q^2 + (e-beta) q^3) b[n-1][1]
+                      + h b[n-1][2],
+
+    and the generic branch (k >= 2) reads
+
+        q^2 b[n][k] = gamma q^4 b[n-1][k-2] + e q^3 b[n-1][k-1]
+                      + f q^2 b[n-1][k] + g q b[n-1][k+1] + h b[n-1][k+2].
+
+    Write D_k = lhs - rhs.  For k >= 2 the q^(j+2) coefficient of D_k is
+    T[n][j] - (gamma T'[j-2] + e T'[j-1] + f T'[j] + g T'[j+1] + h T'[j+2])
+    when j >= k and 0 otherwise; D_0 has that same coefficient for every
+    j >= 2, since beta + (e-beta) = e and alpha + (f-alpha) = f.  So D_k is D_0
+    with its terms of degree < k+2 dropped, for any rows at all, and one head
+    comparison per row decides every branch.  b[n][0] is the row generating
+    function by definition.  The witness keeps ``"k": 0``.  An n_max below 1,
+    which would certify no row, raises ``ValueError``.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -303,33 +314,16 @@ def verify_tail_recurrence(p: ConstParams, n_max: int) -> PropertyReport:
     a, b, c, e, f, g, h = p.as_tuple()
     head_weight = QPoly([a, b, c])  # alpha + beta q + gamma q^2
     mid_weight = QPoly([0, g, f - a, e - b])  # g q + (f-alpha) q^2 + (e-beta) q^3
-
-    def witness(n: int, k: int, lhs: QPoly, rhs: QPoly) -> PropertyReport:
-        return PropertyReport(
-            "tail-recurrence-identity", (1, n_max), FAILS,
-            witness={"n": n, "k": k, "difference": lhs - rhs},
-        )
-
     for n in range(1, n_max + 1):
-        if row_tail_poly(t, n, 0) != row_poly(t, n):
-            return witness(n, 0, row_tail_poly(t, n, 0), row_poly(t, n))
-        lhs = row_tail_poly(t, n, 0).shift(2)
+        lhs = row_poly(t, n).shift(2)
         rhs = (
-            head_weight * row_tail_poly(t, n - 1, 0).shift(2)
+            head_weight * row_poly(t, n - 1).shift(2)
             + mid_weight * row_tail_poly(t, n - 1, 1)
             + h * row_tail_poly(t, n - 1, 2)
         )
         if lhs != rhs:
-            return witness(n, 0, lhs, rhs)
-        for k in range(2, 2 * n + 1):
-            lhs = row_tail_poly(t, n, k).shift(2)
-            rhs = (
-                c * row_tail_poly(t, n - 1, k - 2).shift(4)
-                + e * row_tail_poly(t, n - 1, k - 1).shift(3)
-                + f * row_tail_poly(t, n - 1, k).shift(2)
-                + g * row_tail_poly(t, n - 1, k + 1).shift(1)
-                + h * row_tail_poly(t, n - 1, k + 2)
+            return PropertyReport(
+                "tail-recurrence-identity", (1, n_max), FAILS,
+                witness={"n": n, "k": 0, "difference": lhs - rhs},
             )
-            if lhs != rhs:
-                return witness(n, k, lhs, rhs)
     return PropertyReport("tail-recurrence-identity", (1, n_max), HOLDS)

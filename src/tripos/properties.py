@@ -16,7 +16,7 @@ property itself failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import lcm
 from typing import Callable, Sequence
@@ -374,7 +374,7 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
                 witness={"rows": rows, "cols": cols, "minor": minor},
                 note=note,
             )
-    return PropertyReport("totally-positive", (1, max(r_eff, 0)), HOLDS, note=note)
+    return PropertyReport("totally-positive", (1, r_eff), HOLDS, note=note)
 
 
 def is_pf_r(s: NumSeq, r: int, window: int) -> PropertyReport:
@@ -383,10 +383,7 @@ def is_pf_r(s: NumSeq, r: int, window: int) -> PropertyReport:
     note = f"verdict for the {window}x{window} Toeplitz window only"
     if report.note:
         note = f"{note}; {report.note}"
-    return PropertyReport(
-        "polya-frequency", report.checked, report.verdict,
-        witness=report.witness, note=note,
-    )
+    return replace(report, prop="polya-frequency", note=note)
 
 
 def is_q_tp2(matrix: Sequence[Sequence[QPoly]]) -> PropertyReport:

@@ -11,7 +11,8 @@ import random
 from itertools import combinations, permutations
 
 from tripos.algebra import QPoly, poly_geq_q
-from tripos.properties import is_q_tp2, is_tp_r
+from tripos.properties import FAILS, HOLDS, PropertyReport, is_q_tp2, is_tp_r
+from tripos.triangles import row_poly, row_tail_poly
 
 
 def naive_det(m):
@@ -75,6 +76,21 @@ def expansion_bisnomial_row(n, s):
     for _ in range(n):
         row = convolve(row, base)
     return row
+
+
+def naive_minor_form(n, m, s):
+    """B_{n-1} B_{m+1} - B_n B_m as ``{(i, j): coeff}`` over products f_i f_j,
+    i <= j, zero terms dropped; rows from :func:`expansion_bisnomial_row`."""
+    form = {}
+    for row_a, row_b, sign in (
+        (expansion_bisnomial_row(n - 1, s), expansion_bisnomial_row(m + 1, s), 1),
+        (expansion_bisnomial_row(n, s), expansion_bisnomial_row(m, s), -1),
+    ):
+        for i, x in enumerate(row_a):
+            for j, y in enumerate(row_b):
+                key = (min(i, j), max(i, j))
+                form[key] = form.get(key, 0) + sign * x * y
+    return {key: c for key, c in form.items() if c}
 
 
 def gaussian_binomial(n, k):
@@ -229,3 +245,45 @@ def schoolbook_recurrence_matrix(p, size):
             if 0 <= j < size:
                 m[i][j] = v
     return m
+
+
+def naive_tail_recurrence(t, p, n_max):
+    """Both tail-sum recurrence branches on triangle ``t``, term by term.
+
+    For each row n: b[n][0] against the row generating function, the k = 0
+    head branch, then the generic branch for every k = 2..2n, all multiplied
+    through by q^2; the first mismatch is the witness.
+    """
+    a, b, c, e, f, g, h = p.as_tuple()
+    head_weight = QPoly([a, b, c])
+    mid_weight = QPoly([0, g, f - a, e - b])
+
+    def witness(n, k, lhs, rhs):
+        return PropertyReport(
+            "tail-recurrence-identity", (1, n_max), FAILS,
+            witness={"n": n, "k": k, "difference": lhs - rhs},
+        )
+
+    for n in range(1, n_max + 1):
+        if row_tail_poly(t, n, 0) != row_poly(t, n):
+            return witness(n, 0, row_tail_poly(t, n, 0), row_poly(t, n))
+        lhs = row_tail_poly(t, n, 0).shift(2)
+        rhs = (
+            head_weight * row_tail_poly(t, n - 1, 0).shift(2)
+            + mid_weight * row_tail_poly(t, n - 1, 1)
+            + h * row_tail_poly(t, n - 1, 2)
+        )
+        if lhs != rhs:
+            return witness(n, 0, lhs, rhs)
+        for k in range(2, 2 * n + 1):
+            lhs = row_tail_poly(t, n, k).shift(2)
+            rhs = (
+                c * row_tail_poly(t, n - 1, k - 2).shift(4)
+                + e * row_tail_poly(t, n - 1, k - 1).shift(3)
+                + f * row_tail_poly(t, n - 1, k).shift(2)
+                + g * row_tail_poly(t, n - 1, k + 1).shift(1)
+                + h * row_tail_poly(t, n - 1, k + 2)
+            )
+            if lhs != rhs:
+                return witness(n, k, lhs, rhs)
+    return PropertyReport("tail-recurrence-identity", (1, n_max), HOLDS)

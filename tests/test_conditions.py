@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import naive_tail_recurrence
+from tripos import conditions
 from tripos.conditions import (
     log_concavity_conditions,
     log_concavity_conditions_const,
@@ -21,6 +25,7 @@ from tripos.properties import (
 from tripos.triangles import (
     CoeffScheme,
     ConstParams,
+    Triangle,
     from_const_params,
     from_five_term,
     preset,
@@ -205,6 +210,48 @@ class TestTailRecurrence:
     def test_all_const_presets(self):
         for name in CONST_PRESETS:
             assert verify_tail_recurrence(preset(name).const_params, 10).holds, name
+
+
+    def test_corrupted_entry_gives_head_witness(self, monkeypatch):
+        p = preset("motzkin").const_params
+        rows = [list(row) for row in from_const_params(p, 5).rows]
+        rows[3][2] += 1
+        t = Triangle(rows, 2)
+        monkeypatch.setattr(conditions, "from_const_params", lambda *args: t)
+        report = verify_tail_recurrence(p, 5)
+        assert report.to_dict()["witness"] == {"n": 3, "k": 0, "difference": "0 0 0 0 1"}
+
+
+weights = st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=6))
+deltas = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=7)).filter(bool)
+
+
+@st.composite
+def tail_cases(draw):
+    """Constant weights, n_max, and their triangle, with one entry moved by a
+    nonzero int or Fraction in about four draws of five."""
+    p = ConstParams(*(draw(weights) for _ in range(7)))
+    n_max = draw(st.integers(1, 7))
+    t = from_const_params(p, n_max)
+    if draw(st.integers(0, 4)):
+        n = draw(st.integers(0, n_max))
+        j = draw(st.integers(0, 2 * n))
+        rows = [list(row) for row in t.rows]
+        rows[n][j] += draw(deltas)
+        t = Triangle(rows, 2)
+    return p, n_max, t
+
+
+@given(tail_cases())
+@settings(max_examples=200, deadline=None)
+def test_tail_recurrence_matches_two_branch_reference(case):
+    # The head comparison alone must give the report of the reference, which
+    # also checks b[n][0] against the row polynomial and every k >= 2 branch.
+    p, n_max, t = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "from_const_params", lambda *args: t)
+        report = verify_tail_recurrence(p, n_max)
+    assert report.to_dict() == naive_tail_recurrence(t, p, n_max).to_dict()
 
 
 class TestEmptyRanges:

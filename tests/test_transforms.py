@@ -2,11 +2,10 @@
 
 import random
 from math import comb
-from pathlib import Path
 
 import pytest
 
-from helpers import gaussian_binomial
+from helpers import gaussian_binomial, naive_minor_form
 from tripos.algebra import QPoly
 from tripos.errors import FileFormatError, SequenceRangeError
 from tripos.properties import (
@@ -22,9 +21,6 @@ from tripos.transforms import (
     transform_minor_form,
     window_sum,
 )
-
-DATA = Path(__file__).parent / "data"
-
 
 def constant_family(count):
     return PolySeq(tuple(QPoly([1]) for _ in range(count)))
@@ -105,12 +101,12 @@ class TestMinorForm:
     def test_binomial_base_case(self):
         assert transform_minor_form(1, 1, 1).as_map() == {(0, 2): 1, (1, 1): -1}
 
-    def test_against_committed_fixtures(self):
-        for n, m in ((1, 1), (1, 2), (2, 2)):
-            stored = BilinearForm.parse(
-                (DATA / f"minor_form_s2_n{n}_m{m}.txt").read_text()
-            )
-            assert transform_minor_form(n, m, 2) == stored, (n, m)
+    def test_against_expansion(self):
+        for s in (1, 2, 3):
+            for n in range(1, 5):
+                for m in range(n, 5):
+                    form = transform_minor_form(n, m, s)
+                    assert form.as_map() == naive_minor_form(n, m, s), (s, n, m)
 
     def test_serialization_sorted(self):
         text = transform_minor_form(1, 2, 2).serialize()
