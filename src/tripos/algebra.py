@@ -73,11 +73,6 @@ class QPoly:
         """Degree of a nonzero polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> ExactRat:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "QPoly") -> "QPoly":

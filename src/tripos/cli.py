@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "and check property preservation")
     tra.add_argument("polys", metavar="PATH", help="input file, one polynomial per line")
     tra.add_argument("--s", type=_positive_int, required=True)
-    tra.add_argument("--n-max", type=int, default=None,
+    tra.add_argument("--n-max", type=_nonnegative_int, default=None,
                      help="largest transformed index (default: all the input supports)")
     tra.add_argument("--direction", choices=("convex", "concave"), required=True)
     return parser

@@ -17,7 +17,9 @@ reported individually with the first failing index and both sides' values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
+from math import prod
 from typing import Callable
 
 from .algebra import ExactRat, QPoly, format_exact
@@ -91,16 +93,91 @@ class ConditionReport:
         }
 
 
-def _const_clause(text: str, lhs: ExactRat, rhs: ExactRat) -> ClauseResult:
-    ok = lhs >= rhs
-    return ClauseResult(text, ok, None, None if ok else lhs, None if ok else rhs)
+# -- clause text ---------------------------------------------------------------
+# Every clause is stored once, as the text the report prints, and parsed at
+# import into a sum of terms (coefficient, ((name, shift), ...)):
+#   clause := side " >= " side        side := term (" + " term)*
+#   term   := factor ("*" factor)*
+#   factor := integer | name | name "^2" | name "_" ("k" | "{k-1}" | "{k+1}")
+# ``x^2`` reads as ``x*x``.  Factors are multiplied left to right in text order.
+
+_SHIFTS = {"": 0, "k": 0, "{k-1}": -1, "{k+1}": 1}
 
 
-def _condition(cid: str, clauses: list[ClauseResult]) -> ConditionResult:
-    return ConditionResult(cid, all(c.holds for c in clauses), tuple(clauses))
+def _side(text: str) -> tuple:
+    terms = []
+    for term in text.split(" + "):
+        tokens = re.sub(r"(\w+)\^2", r"\1*\1", term).split("*")
+        names = [token.partition("_") for token in tokens if not token.isdigit()]
+        terms.append((prod(int(token) for token in tokens if token.isdigit()),
+                      tuple((name, _SHIFTS[sub]) for name, _, sub in names)))
+    # Terms are read in ascending order of their shifts (a_{k-1}*b_{k+1} before
+    # a_{k+1}*b_{k-1}): where short table schemes leave more than one index
+    # uncovered, this order decides which one is reported.
+    return tuple(sorted(terms, key=lambda t: [shift for _, shift in t[1]]))
+
+
+def _clause(text: str) -> tuple:
+    return (text, *map(_side, text.split(" >= ")))
+
+
+def _table(rows: list[tuple[str, list[str]]]) -> tuple:
+    return tuple((cid, tuple(_clause(text) for text in texts)) for cid, texts in rows)
+
+
+def _value(terms: tuple, val: Callable, k: int | None) -> ExactRat:
+    """One side of a clause at ``k``; ``val(name, shift, k)`` reads a factor."""
+    total = 0
+    for coeff, factors in terms:
+        x = coeff
+        for name, shift in factors:
+            x *= val(name, shift, k)
+        total += x
+    return total
+
+
+def _evaluate(table, val: Callable, ks) -> tuple[ConditionResult, ...]:
+    """Each clause at every k of ``ks`` in turn, up to its first failure."""
+    conditions = []
+    for cid, clauses in table:
+        results = []
+        for text, lhs_terms, rhs_terms in clauses:
+            result = ClauseResult(text, True)
+            for k in ks:
+                lhs, rhs = _value(lhs_terms, val, k), _value(rhs_terms, val, k)
+                if lhs < rhs:
+                    result = ClauseResult(text, False, k, lhs, rhs)
+                    break
+            results.append(result)
+        conditions.append(ConditionResult(cid, all(c.holds for c in results), tuple(results)))
+    return tuple(conditions)
+
+
+def _const_val(p: ConstParams) -> Callable:
+    values = p.as_dict()
+    return lambda name, shift, k: values[name]
 
 
 # -- varying coefficients (tag thm21) ------------------------------------------
+
+_THM21 = _table([
+    ("1", ["2*gamma_k*e_k >= gamma_{k-1}*e_{k+1} + gamma_{k+1}*e_{k-1}"]),
+    ("2", ["2*gamma_k*f_k >= gamma_{k-1}*f_{k+1} + gamma_{k+1}*f_{k-1}"]),
+    ("3", ["2*gamma_k*g_k >= gamma_{k-1}*g_{k+1} + gamma_{k+1}*g_{k-1}"]),
+    ("4", ["2*gamma_k*h_k >= gamma_{k-1}*h_{k+1} + gamma_{k+1}*h_{k-1}"]),
+    ("5", ["2*e_k*f_k >= e_{k+1}*f_{k-1} + e_{k-1}*f_{k+1}",
+           "e_{k+1}*e_{k-1} >= gamma_{k+1}*f_{k-1}"]),
+    ("6", ["2*e_k*g_k >= e_{k+1}*g_{k-1} + e_{k-1}*g_{k+1}",
+           "f_{k+1}*e_{k-1} >= gamma_{k+1}*g_{k-1}"]),
+    ("7", ["2*e_k*h_k >= e_{k+1}*h_{k-1} + e_{k-1}*h_{k+1}",
+           "g_{k+1}*e_{k-1} >= gamma_{k+1}*h_{k-1}"]),
+    ("8", ["2*f_k*g_k >= f_{k+1}*g_{k-1} + f_{k-1}*g_{k+1}",
+           "f_{k+1}*f_{k-1} >= e_{k+1}*g_{k-1}"]),
+    ("9", ["2*f_k*h_k >= f_{k+1}*h_{k-1} + f_{k-1}*h_{k+1}",
+           "g_{k+1}*f_{k-1} >= e_{k+1}*h_{k-1}"]),
+    ("10", ["2*g_k*h_k >= g_{k+1}*h_{k-1} + g_{k-1}*h_{k+1}",
+            "g_{k+1}*g_{k-1} >= f_{k+1}*h_{k-1}"]),
+])
 
 
 def log_concavity_conditions(
@@ -121,79 +198,18 @@ def log_concavity_conditions(
         raise ValueError(f"k_max must be >= 2, got {k_max}")
     schemes = {"gamma": gamma, "e": e, "f": f, "g": g, "h": h}
 
-    def val(name: str, k: int) -> ExactRat:
-        return schemes[name].at(k) if k >= DOMAIN_START[name] else 0
+    def val(name: str, shift: int, k: int) -> ExactRat:
+        i = k + shift
+        return schemes[name].at(i) if i >= DOMAIN_START[name] else 0
 
-    def pair_clauses(a: str, b: str) -> Callable[[int], tuple]:
-        def sides(k: int):
-            lhs = 2 * val(a, k) * val(b, k)
-            rhs = val(a, k - 1) * val(b, k + 1) + val(a, k + 1) * val(b, k - 1)
-            return lhs, rhs
-
-        return sides
-
-    def cross_clauses(p1: str, p2: str, q1: str, q2: str) -> Callable[[int], tuple]:
-        # p1_{k+1} p2_{k-1} >= q1_{k+1} q2_{k-1}
-        def sides(k: int):
-            return val(p1, k + 1) * val(p2, k - 1), val(q1, k + 1) * val(q2, k - 1)
-
-        return sides
-
-    condition_defs: list[tuple[str, list[tuple[str, Callable[[int], tuple]]]]] = [
-        ("1", [("2*gamma_k*e_k >= gamma_{k-1}*e_{k+1} + gamma_{k+1}*e_{k-1}",
-                pair_clauses("gamma", "e"))]),
-        ("2", [("2*gamma_k*f_k >= gamma_{k-1}*f_{k+1} + gamma_{k+1}*f_{k-1}",
-                pair_clauses("gamma", "f"))]),
-        ("3", [("2*gamma_k*g_k >= gamma_{k-1}*g_{k+1} + gamma_{k+1}*g_{k-1}",
-                pair_clauses("gamma", "g"))]),
-        ("4", [("2*gamma_k*h_k >= gamma_{k-1}*h_{k+1} + gamma_{k+1}*h_{k-1}",
-                pair_clauses("gamma", "h"))]),
-        ("5", [("2*e_k*f_k >= e_{k+1}*f_{k-1} + e_{k-1}*f_{k+1}",
-                pair_clauses("e", "f")),
-               ("e_{k+1}*e_{k-1} >= gamma_{k+1}*f_{k-1}",
-                cross_clauses("e", "e", "gamma", "f"))]),
-        ("6", [("2*e_k*g_k >= e_{k+1}*g_{k-1} + e_{k-1}*g_{k+1}",
-                pair_clauses("e", "g")),
-               ("f_{k+1}*e_{k-1} >= gamma_{k+1}*g_{k-1}",
-                cross_clauses("f", "e", "gamma", "g"))]),
-        ("7", [("2*e_k*h_k >= e_{k+1}*h_{k-1} + e_{k-1}*h_{k+1}",
-                pair_clauses("e", "h")),
-               ("g_{k+1}*e_{k-1} >= gamma_{k+1}*h_{k-1}",
-                cross_clauses("g", "e", "gamma", "h"))]),
-        ("8", [("2*f_k*g_k >= f_{k+1}*g_{k-1} + f_{k-1}*g_{k+1}",
-                pair_clauses("f", "g")),
-               ("f_{k+1}*f_{k-1} >= e_{k+1}*g_{k-1}",
-                cross_clauses("f", "f", "e", "g"))]),
-        ("9", [("2*f_k*h_k >= f_{k+1}*h_{k-1} + f_{k-1}*h_{k+1}",
-                pair_clauses("f", "h")),
-               ("g_{k+1}*f_{k-1} >= e_{k+1}*h_{k-1}",
-                cross_clauses("g", "f", "e", "h"))]),
-        ("10", [("2*g_k*h_k >= g_{k+1}*h_{k-1} + g_{k-1}*h_{k+1}",
-                 pair_clauses("g", "h")),
-                ("g_{k+1}*g_{k-1} >= f_{k+1}*h_{k-1}",
-                 cross_clauses("g", "g", "f", "h"))]),
-    ]
-
-    conditions = []
-    for cid, clause_defs in condition_defs:
-        clause_results = []
-        for text, sides in clause_defs:
-            result = ClauseResult(text, True)
-            for k in range(2, k_max + 1):
-                lhs, rhs = sides(k)
-                if lhs < rhs:
-                    result = ClauseResult(text, False, k, lhs, rhs)
-                    break
-            clause_results.append(result)
-        conditions.append(_condition(cid, clause_results))
-
+    conditions = _evaluate(_THM21, val, range(2, k_max + 1))
     hypotheses = []
     for name, start in DOMAIN_START.items():
         values = [schemes[name].at(k) for k in range(start, k_max + 2)]
         report = is_log_concave(NumSeq(tuple(values), offset=start))
         hypotheses.append(replace(report, prop=f"{name}-log-concave"))
 
-    return ConditionReport("thm21", tuple(conditions), tuple(hypotheses))
+    return ConditionReport("thm21", conditions, tuple(hypotheses))
 
 
 # -- constant coefficients, log-concavity (tag cor22) ---------------------------
@@ -202,83 +218,50 @@ def log_concavity_conditions(
 # expected clause (shift every letter of 5a by one) reads differently.
 _COR22_5B_PRINTED = "2*beta*g >= g*e + gamma*h"
 _COR22_5B_CANDIDATE = "2*beta*g >= alpha*f + gamma*h"
+_COR22_NOTE = (_clause(_COR22_5B_PRINTED), _clause(_COR22_5B_CANDIDATE))
+
+_COR22 = _table([
+    ("1", ["g^2 >= f*h", "f >= alpha"]),
+    ("2", ["beta^2 >= alpha*gamma", "2*beta*h >= alpha*g"]),
+    ("3", ["f*e >= gamma*g", "f*g >= e*h"]),
+    ("4", ["f^2 >= e*g", "e*g >= gamma*h", "e^2 >= gamma*f"]),
+    ("5", ["2*beta*f >= alpha*e + gamma*g", _COR22_5B_PRINTED]),
+])
 
 
 def log_concavity_conditions_const(p: ConstParams) -> ConditionReport:
     """Five sufficient conditions for row log-concavity at constant weights.
 
-    Condition (5)'s second inequality is evaluated in its published form
-    (``2*beta*g >= g*e + gamma*h``); a note is attached whenever that form
-    and the structurally expected variant disagree on the given input.
+    Condition (5)'s second inequality is evaluated in its published form,
+    ``_COR22_5B_PRINTED``; a note is attached whenever that form and the
+    structurally expected ``_COR22_5B_CANDIDATE`` disagree on the given input.
     """
-    a, b, c, e, f, g, h = p.as_tuple()
-    conditions = [
-        _condition("1", [
-            _const_clause("g^2 >= f*h", g * g, f * h),
-            _const_clause("f >= alpha", f, a),
-        ]),
-        _condition("2", [
-            _const_clause("beta^2 >= alpha*gamma", b * b, a * c),
-            _const_clause("2*beta*h >= alpha*g", 2 * b * h, a * g),
-        ]),
-        _condition("3", [
-            _const_clause("f*e >= gamma*g", f * e, c * g),
-            _const_clause("f*g >= e*h", f * g, e * h),
-        ]),
-        _condition("4", [
-            _const_clause("f^2 >= e*g", f * f, e * g),
-            _const_clause("e*g >= gamma*h", e * g, c * h),
-            _const_clause("e^2 >= gamma*f", e * e, c * f),
-        ]),
-        _condition("5", [
-            _const_clause("2*beta*f >= alpha*e + gamma*g", 2 * b * f, a * e + c * g),
-            _const_clause(_COR22_5B_PRINTED, 2 * b * g, g * e + c * h),
-        ]),
-    ]
+    val = _const_val(p)
     notes = []
-    printed = 2 * b * g >= g * e + c * h
-    candidate = 2 * b * g >= a * f + c * h
+    printed, candidate = (_value(lhs, val, None) >= _value(rhs, val, None)
+                          for _, lhs, rhs in _COR22_NOTE)
     if printed != candidate:
         notes.append(
             f"condition (5) printed clause '{_COR22_5B_PRINTED}' and candidate "
             f"corrected clause '{_COR22_5B_CANDIDATE}' disagree on this input "
             f"(printed={printed}, candidate={candidate})"
         )
-    return ConditionReport("cor22", tuple(conditions), notes=tuple(notes))
+    return ConditionReport("cor22", _evaluate(_COR22, val, (None,)), notes=tuple(notes))
 
 
 # -- constant coefficients, strong q-log-convexity (tag thm34) ------------------
 
+_THM34 = _table([
+    ("1", ["f >= alpha", "e >= beta", "g >= 0", "h >= 0"]),
+    ("2", ["alpha*f >= beta*g", "beta*g >= gamma*h", "f^2 >= e*g", "e*g >= gamma*h"]),
+    ("3", ["alpha*e >= gamma*g", "e*f >= gamma*g", "beta*f >= gamma*g"]),
+    ("4", ["beta*e >= gamma*f", "alpha*g >= beta*h", "g^2 >= f*h", "f*g >= e*h"]),
+])
+
 
 def q_log_convexity_conditions(p: ConstParams) -> ConditionReport:
     """Four sufficient conditions for strong q-log-convexity of row polynomials."""
-    a, b, c, e, f, g, h = p.as_tuple()
-    conditions = [
-        _condition("1", [
-            _const_clause("f >= alpha", f, a),
-            _const_clause("e >= beta", e, b),
-            _const_clause("g >= 0", g, 0),
-            _const_clause("h >= 0", h, 0),
-        ]),
-        _condition("2", [
-            _const_clause("alpha*f >= beta*g", a * f, b * g),
-            _const_clause("beta*g >= gamma*h", b * g, c * h),
-            _const_clause("f^2 >= e*g", f * f, e * g),
-            _const_clause("e*g >= gamma*h", e * g, c * h),
-        ]),
-        _condition("3", [
-            _const_clause("alpha*e >= gamma*g", a * e, c * g),
-            _const_clause("e*f >= gamma*g", e * f, c * g),
-            _const_clause("beta*f >= gamma*g", b * f, c * g),
-        ]),
-        _condition("4", [
-            _const_clause("beta*e >= gamma*f", b * e, c * f),
-            _const_clause("alpha*g >= beta*h", a * g, b * h),
-            _const_clause("g^2 >= f*h", g * g, f * h),
-            _const_clause("f*g >= e*h", f * g, e * h),
-        ]),
-    ]
-    return ConditionReport("thm34", tuple(conditions))
+    return ConditionReport("thm34", _evaluate(_THM34, _const_val(p), (None,)))
 
 
 # -- tail-sum recurrence identity ------------------------------------------------

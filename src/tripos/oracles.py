@@ -8,7 +8,6 @@ these has two independent derivations agreeing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
@@ -61,13 +60,11 @@ def stirling2_triangle(n_max: int) -> list[list[int]]:
 
 
 def shapiro_row(n: int) -> list[int]:
-    """Ballot-number closed form (k/n) * binom(2n, n-k) for k = 1..n; n >= 1."""
-    out = []
-    for k in range(1, n + 1):
-        v = Fraction(k, n) * comb(2 * n, n - k)
-        assert v.denominator == 1
-        out.append(int(v))
-    return out
+    """Ballot-number closed form (k/n) * binom(2n, n-k) for k = 1..n; n >= 1.
+
+    n divides k * binom(2n, n-k), so the integer division is exact.
+    """
+    return [k * comb(2 * n, n - k) // n for k in range(1, n + 1)]
 
 
 def pascal_row(n: int) -> list[int]:

@@ -10,8 +10,8 @@ is the elementary building block behind it.
 ``B_{n-1} B_{m+1} - B_n B_m`` symbolically over the inputs, as an integer
 bilinear form in the products f_i f_j.  Every coefficient is computed from
 the generalized binomial numbers alone, independent of any concrete
-polynomial values, which makes the form diffable against stored
-expectations and checkable against concrete evaluations.
+polynomial values, which makes the form checkable against concrete
+evaluations.
 """
 
 from __future__ import annotations
@@ -83,9 +83,14 @@ class BilinearForm:
 
 
 def bisnomial_transform(ps: PolySeq, s: int, n_max: int) -> PolySeq:
-    """B_n = sum_{k=0}^{s n} binom(n, k)_s f_k for n = 0..n_max."""
+    """B_n = sum_{k=0}^{s n} binom(n, k)_s f_k for n = 0..n_max.
+
+    An n_max below 0, which would leave no output, raises ``ValueError``.
+    """
     if s < 1:
         raise ValueError("s must be a positive integer")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     needed = s * n_max + 1
     if len(ps) < needed:
         raise SequenceRangeError(

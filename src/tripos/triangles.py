@@ -70,9 +70,6 @@ class Triangle:
     def n_max(self) -> int:
         return len(self.rows) - 1
 
-    def row(self, n: int) -> tuple[ExactRat, ...]:
-        return self.rows[n]
-
     def entry(self, n: int, k: int) -> ExactRat:
         """Entry (n, k), with 0 outside the declared width."""
         if 0 <= n <= self.n_max and 0 <= k < len(self.rows[n]):
@@ -368,13 +365,11 @@ def row_tail_matrix(t: Triangle, nrows: int, ncols: int) -> list[list[QPoly]]:
     return [[row_tail_poly(t, n, k) for k in range(ncols)] for n in range(nrows)]
 
 
-def q_power_matrix(nrows: int, ncols: int | None = None) -> list[list[QPoly]]:
-    """Lower-triangular matrix with entry (i, j) = q^i for i >= j, else 0."""
-    if ncols is None:
-        ncols = nrows
+def q_power_matrix(size: int) -> list[list[QPoly]]:
+    """Square lower-triangular matrix with entry (i, j) = q^i for i >= j, else 0."""
     return [
-        [QPoly([0] * i + [1]) if i >= j else QPoly.ZERO for j in range(ncols)]
-        for i in range(nrows)
+        [QPoly([0] * i + [1]) if i >= j else QPoly.ZERO for j in range(size)]
+        for i in range(size)
     ]
 
 
@@ -500,10 +495,10 @@ def preset(name: str, s: int | None = None) -> Preset:
     return p
 
 
-def build_preset(name: str, n_max: int, s: int | None = None, validate: bool = True) -> Triangle:
+def build_preset(name: str, n_max: int, s: int | None = None) -> Triangle:
     """Generate a preset triangle, cross-checking it against its oracle.
 
-    Validation runs on min(n_max, VALIDATE_ROWS) rows unless disabled.
+    Validation runs on min(n_max, VALIDATE_ROWS) rows.
     """
     p = preset(name, s)
     if p.s is not None:
@@ -514,6 +509,5 @@ def build_preset(name: str, n_max: int, s: int | None = None, validate: bool = T
         # gamma = h = 0, so offsets -1..1 of the band generate it in arity 1
         band, heads = _const_band(p.const_params)
         t = _banded({d: band[d] for d in (1, 0, -1)}, heads, 1, n_max)
-    if validate:
-        p.validate(t, min(n_max, VALIDATE_ROWS))
+    p.validate(t, min(n_max, VALIDATE_ROWS))
     return t

@@ -388,6 +388,15 @@ class TestArgumentBounds:
         assert report is None
         assert "--arity" in err
 
+    def test_negative_transform_n_max_exit2(self, capsys, tmp_path):
+        path = tmp_path / "ones.txt"
+        path.write_text("1\n" * 5)
+        code, report, err = run(capsys, "transform", str(path), "--s", "1",
+                                "--n-max", "-1", "--direction", "convex")
+        assert code == 2
+        assert report is None
+        assert "--n-max" in err
+
 
 NUMBERS = ("0", "1", "-1", "3", "2/3", "-1/2", "1/0", "0/0", "x", "1.5", "", "1e3", "nan")
 numbers = st.one_of(st.sampled_from(NUMBERS), st.text(max_size=3))

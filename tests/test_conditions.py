@@ -1,13 +1,20 @@
 """Sufficient-condition checkers and their soundness against the generators."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_tail_recurrence
+from helpers import (
+    handwritten_log_concavity_conditions,
+    handwritten_log_concavity_conditions_const,
+    handwritten_q_log_convexity_conditions,
+    naive_tail_recurrence,
+)
 from tripos import conditions
 from tripos.conditions import (
     log_concavity_conditions,
@@ -15,6 +22,7 @@ from tripos.conditions import (
     q_log_convexity_conditions,
     verify_tail_recurrence,
 )
+from tripos.errors import SchemeDomainError
 from tripos.properties import (
     NumSeq,
     PolySeq,
@@ -269,3 +277,82 @@ class TestEmptyRanges:
         for n_max in (0, -1, -2):
             with pytest.raises(ValueError):
                 verify_tail_recurrence(p, n_max)
+
+
+# -- clause text against the hand-written checkers ----------------------------------
+
+
+def _bench_param_grid():
+    """The weight tuples of ``bench/workloads.py``, which imports its siblings
+    by bare name."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import PARAM_GRID
+    finally:
+        sys.path.remove(bench)
+    return tuple(PARAM_GRID)
+
+
+def outcome(fn, *args):
+    """The report as a dict, or the type and message of what the call raised."""
+    try:
+        return fn(*args).to_dict()
+    except Exception as exc:  # the comparison is of whatever escapes
+        return type(exc), str(exc)
+
+
+scheme_values = st.one_of(st.integers(-2, 4), st.fractions(-2, 4, max_denominator=5))
+const_params = st.one_of(
+    st.sampled_from(_bench_param_grid()).map(lambda p: ConstParams(*p)),
+    st.builds(ConstParams, *[weights] * 7),
+)
+
+
+@st.composite
+def thm21_cases(draw):
+    """Five constant, affine or table schemes and k_max in 2..12; a table's
+    end falls within a few indices of k_max + 1, the last index the checker
+    reads, so about a third of the tables are too short."""
+    k_max = draw(st.integers(2, 12))
+    schemes = []
+    for _ in range(5):
+        kind = draw(st.sampled_from(("constant", "affine", "table")))
+        if kind == "constant":
+            schemes.append(CoeffScheme.constant(draw(scheme_values)))
+        elif kind == "affine":
+            schemes.append(CoeffScheme.affine(draw(scheme_values), draw(scheme_values)))
+        else:
+            start = draw(st.integers(0, 2))
+            size = max(0, k_max + 2 - start + draw(st.integers(-2, 3)))
+            schemes.append(CoeffScheme.table(
+                draw(st.lists(scheme_values, min_size=size, max_size=size)), start))
+    return schemes, k_max
+
+
+@given(const_params)
+@settings(max_examples=200, deadline=None)
+def test_const_clauses_match_handwritten_reference(p):
+    assert outcome(log_concavity_conditions_const, p) == outcome(
+        handwritten_log_concavity_conditions_const, p)
+    assert outcome(q_log_convexity_conditions, p) == outcome(
+        handwritten_q_log_convexity_conditions, p)
+
+
+@given(thm21_cases())
+@settings(max_examples=250, deadline=None)
+def test_thm21_clauses_match_handwritten_reference(case):
+    schemes, k_max = case
+    assert outcome(log_concavity_conditions, *schemes, k_max) == outcome(
+        handwritten_log_concavity_conditions, *schemes, k_max)
+
+
+def test_short_tables_report_the_reference_index():
+    # Conditions 1-4 fail at k = 2, so condition 5's first clause is the first
+    # to reach k = 3, where e and f both end: read in text order, e_{k+1}
+    # would be reported; the reference reads e_{k-1}, then f_{k+1}.
+    schemes = (CoeffScheme.table([0, 1], 2), CoeffScheme.table([1, 1, 1], 1),
+               CoeffScheme.table([1, 1, 1, 1], 0), ONE, ONE)
+    expected = (SchemeDomainError, "table scheme covers [0, 3] but index 4 was requested")
+    assert outcome(handwritten_log_concavity_conditions, *schemes, 3) == expected
+    assert outcome(log_concavity_conditions, *schemes, 3) == expected

@@ -65,6 +65,12 @@ class TestBisnomialTransform:
         with pytest.raises(SequenceRangeError, match="21"):
             bisnomial_transform(constant_family(5), 2, 10)
 
+    def test_negative_n_max_raises(self):
+        assert len(bisnomial_transform(constant_family(5), 2, 0)) == 1
+        for n_max in (-1, -2):
+            with pytest.raises(ValueError, match="n_max"):
+                bisnomial_transform(constant_family(5), 2, n_max)
+
 
 class TestWindowSum:
     def test_basic(self):
