@@ -23,6 +23,7 @@ import sys
 import time
 
 from tripos.algebra import mat_mul
+from tripos.cli import _nonnegative_int
 from tripos.conditions import q_log_convexity_conditions, verify_tail_recurrence
 from tripos.properties import TRIANGLE_CHECKS, PolySeq, is_tp_r
 from tripos.transforms import check_preservation
@@ -68,7 +69,7 @@ def survey_preset(name: str, n_max: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=20, help="rows per triangle")
+    parser.add_argument("--n", type=_nonnegative_int, default=20, help="rows per triangle")
     parser.add_argument("--json", metavar="PATH", help="write results as JSON")
     args = parser.parse_args(argv)
 

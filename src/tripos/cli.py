@@ -179,6 +179,14 @@ def load_triangle_file(path: str) -> Triangle:
     return Triangle.parse(text)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is an input error (exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
+
+
 # -- command handlers --------------------------------------------------------------
 
 
@@ -195,7 +203,7 @@ def _cmd_generate(args) -> tuple[dict, list[dict], int]:
         source = {"scheme_file": args.scheme_file}
     serialized = t.serialize()
     if args.out:
-        Path(args.out).write_text(serialized)
+        _write(args.out, serialized)
     inputs = {**source, "n_max": args.n, "out": args.out}
     body = {"triangle": None if args.out else serialized.splitlines()}
     return inputs, [body], 0
@@ -306,21 +314,21 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         inputs, reports, code = _HANDLERS[args.command](args)
+        payload = {
+            "artifact": {"name": "tripos", "version": __version__},
+            "command": args.command,
+            "inputs": inputs,
+            "reports": reports,
+            "exit_status": code,
+            "timing_ms": round((time.perf_counter() - started) * 1000, 3),
+        }
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        if args.json:
+            _write(args.json, text + "\n")
     except TriposError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = {
-        "artifact": {"name": "tripos", "version": __version__},
-        "command": args.command,
-        "inputs": inputs,
-        "reports": reports,
-        "exit_status": code,
-        "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2)
     print(text)
-    if args.json:
-        Path(args.json).write_text(text + "\n")
     for line in _summarize(reports):
         print(line, file=sys.stderr)
     return code

@@ -85,14 +85,20 @@ def fetch_bfile(
 
     Offline mode never touches the network: a cache miss is an explicit
     error.  Downloads are stored verbatim before parsing, atomically, so a
-    concurrent fetch of the same id cannot leave a torn file behind.
+    concurrent fetch of the same id cannot leave a torn file behind.  A
+    cached file or download that cannot be read as text raises
+    ``BFileError``.
     """
     if not _ID_RE.match(oid):
         raise BFileError(f"not a valid OEIS id: {oid!r} (expected A followed by 6 digits)")
     cache = resolve_cache_dir(cache_dir)
     path = cache / f"{oid}.txt"
     if path.is_file():
-        return parse_bfile(path.read_text(), oid)
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise BFileError(f"cannot read cached b-file {path}: {exc}") from exc
+        return parse_bfile(text, oid)
     if offline:
         raise CacheMissError(f"offline cache miss: {path} does not exist")
     url = bfile_url(oid)
@@ -101,7 +107,10 @@ def fetch_bfile(
             data = resp.read()
     except (urllib.error.URLError, OSError) as exc:
         raise FetchError(f"could not retrieve {url}: {exc}") from exc
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileError(f"{url} is not UTF-8 text: {exc}") from exc
     parsed = parse_bfile(text, oid)  # reject malformed downloads before caching
     cache.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache, prefix=f".{oid}.", suffix=".tmp")

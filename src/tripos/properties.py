@@ -267,68 +267,72 @@ def hankel(s: NumSeq, size: int) -> list[list[ExactRat]]:
     return [[vals[i + j] for j in range(size)] for i in range(size)]
 
 
-def _laplace_index(ncols: int, k: int) -> list[tuple[tuple[int, ...], tuple]]:
-    """Each column k-subset, in lexicographic order, with its Laplace terms.
-
-    A term ``(c, sub, neg)`` stands for ``±a[c] * P[sub]`` in the expansion of
-    a k-minor along its last row ``a``: ``sub`` is the lexicographic rank of
-    the (k-1)-subset without ``c`` in the table ``P`` of the other rows'
-    minors, and ``neg`` marks the cofactor sign (-1)^(k-1+t) for ``c`` at
-    position t.
-    """
-    rank = {cols: i for i, cols in enumerate(combinations(range(ncols), k - 1))}
-    return [
-        (cols, tuple((c, rank[cols[:t] + cols[t + 1:]], (k - 1 - t) % 2 == 1)
-                     for t, c in enumerate(cols)))
-        for cols in combinations(range(ncols), k)
-    ]
+def _extension_index(ncols: int, j: int) -> tuple[list[tuple[int, ...]], list[list]]:
+    """Column j-subsets in lexicographic order, and the Laplace terms that
+    extend (j-1)-minors to them, transposed: ``ext[s]`` lists ``(c, t, neg)``
+    for each column c outside the (j-1)-subset S of rank s, where t is the
+    rank of S + {c} and ``neg`` marks the cofactor sign (-1)^(j-1+p) of c at
+    position p of S + {c} in the expansion along the last row."""
+    subsets = list(combinations(range(ncols), j))
+    rank = {cols: s for s, cols in enumerate(combinations(range(ncols), j - 1))}
+    ext = [[] for _ in rank]
+    for t, cols in enumerate(subsets):
+        for p, c in enumerate(cols):
+            ext[rank[cols[:p] + cols[p + 1:]]].append((c, t, (j - 1 - p) % 2 == 1))
+    return subsets, ext
 
 
-def _expand(a: list[int], subsets, table: list[int]) -> list[int]:
-    """Minors over every column subset of ``subsets`` (see
-    :func:`_laplace_index`) of the rows behind ``table`` plus row ``a``, by
-    Laplace expansion along ``a``; zero entries and zero minors are skipped."""
-    out = []
-    for _, terms in subsets:
-        minor = 0
-        for c, sub, neg in terms:
-            x = a[c]
-            if x:
-                y = table[sub]
-                if y:
-                    minor = minor - x * y if neg else minor + x * y
-        out.append(minor)
+def _extend(a: list[int], ext: list[list], table: list[int], size: int) -> list[int]:
+    """The ``size`` j-minors of the rows behind ``table`` (their (j-1)-minors,
+    by rank) plus row ``a``: each nonzero (j-1)-minor y on columns S adds
+    ±a[c]*y to the minor on S + {c}, for each c outside S with a[c] != 0."""
+    out = [0] * size
+    for s, y in enumerate(table):
+        if y:
+            for c, t, neg in ext[s]:
+                x = a[c]
+                if x:
+                    out[t] += x * (-y if neg else y)
     return out
 
 
 def _first_negative_minor(
-    rows: list[list[int]], index: list, order: int
+    rows: list[list[int]], ncols: int, r: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Row and column subsets of the first negative minor of one order, or ``None``.
+    """Row and column subsets of the least negative minor of order <= r, by
+    (order, rows, cols), or ``None``.
 
-    Row subsets are walked depth first by prefix, which visits them in
-    lexicographic order.  A prefix of j rows carries one table: its j-minors
-    over every column j-subset, by rank.  Adding a row extends the table by
-    Laplace expansion along that row.  At full depth the table's first
-    negative entry, in lexicographic column order, is the answer.
-    ``index[j]`` is :func:`_laplace_index` of order j.
-    """
-    nrows = len(rows)
+    One depth-first walk by prefix visits the row subsets of each size in
+    lexicographic order.  A node of j rows checks its j-minors over every
+    column j-subset, by rank, extended from its parent's by :func:`_extend`.
+    A negative minor at depth d is recorded with its first negative column
+    subset; the walk then skips depths >= d but finishes the shallower ones,
+    where a failure replaces it.  Each depth's :func:`_extension_index` is
+    built when the walk first gets there; only the current prefix's tables
+    are kept."""
+    nrows, index = len(rows), [None]
+    found, limit = None, r
 
     def walk(start: int, chosen: tuple[int, ...], table: list[int]):
+        nonlocal found, limit
         depth = len(chosen) + 1
-        for i in range(start, nrows - order + depth):
-            minors = _expand(rows[i], index[depth], table)
-            if depth < order:
-                found = walk(i + 1, chosen + (i,), minors)
-                if found:
-                    return found
-            elif min(minors) < 0:
+        if depth == len(index):
+            index.append(_extension_index(ncols, depth))
+        subsets, ext = index[depth]
+        for i in range(start, nrows):
+            minors = _extend(rows[i], ext, table, len(subsets))
+            if min(minors) < 0:
                 first = next(t for t, minor in enumerate(minors) if minor < 0)
-                return chosen + (i,), index[depth][first][0]
-        return None
+                found, limit = (chosen + (i,), subsets[first]), depth - 1
+                return
+            if depth < limit and i + 1 < nrows:
+                walk(i + 1, chosen + (i,), minors)
+                if limit < depth:
+                    return
 
-    return walk(0, (), [1])
+    if r:
+        walk(0, (), [1])
+    return found
 
 
 def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
@@ -346,34 +350,29 @@ def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
 def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     """Total positivity of order r: every minor of order <= r is nonnegative.
 
-    Minors are enumerated by increasing order, then lexicographically by row
-    and column subsets, short-circuiting on the first negative one.  Each row
-    is scaled by the lcm of its denominators first, which keeps every minor's
-    sign, so the scan runs on integers; the witness minor is then recomputed
-    with :func:`det_exact` on the original entries.
+    The witness is the first negative minor by increasing order, then by
+    lexicographic row and column subsets (:func:`_first_negative_minor`).
+    Each row is scaled by the lcm of its denominators first, which keeps
+    every minor's sign, so the scan runs on integers; the witness minor is
+    then recomputed with :func:`det_exact` on the original entries.
     """
     if r < 1:
         raise ValueError("minor order r must be >= 1")
     nrows, ncols = _shape(matrix)
-    note = None
     r_eff = min(r, nrows, ncols)
-    if r_eff < r:
-        note = f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})"
+    note = None if r_eff == r else (
+        f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})")
     cleared = []
     for row in matrix:
         mult = lcm(*(x.denominator for x in row))
         cleared.append([x.numerator * (mult // x.denominator) for x in row])
-    index = [None] + [_laplace_index(ncols, k) for k in range(1, r_eff + 1)]
-    for order in range(1, r_eff + 1):
-        found = _first_negative_minor(cleared, index, order)
-        if found:
-            rows, cols = found
-            minor = det_exact([[matrix[i][j] for j in cols] for i in rows])
-            return PropertyReport(
-                "totally-positive", (1, r_eff), FAILS,
-                witness={"rows": rows, "cols": cols, "minor": minor},
-                note=note,
-            )
+    found = _first_negative_minor(cleared, ncols, r_eff)
+    if found:
+        rows, cols = found
+        minor = det_exact([[matrix[i][j] for j in cols] for i in rows])
+        return PropertyReport(
+            "totally-positive", (1, r_eff), FAILS,
+            witness={"rows": rows, "cols": cols, "minor": minor}, note=note)
     return PropertyReport("totally-positive", (1, r_eff), HOLDS, note=note)
 
 

@@ -251,8 +251,11 @@ def _banded(band: _Band, heads: _Heads, arity: int, n_max: int) -> Triangle:
     Each weight read multiplies its reference even where that is a 0 outside
     row n-1, so an entry is a ``Fraction`` exactly when one of its weights or
     references is.  A weight that is the ``int`` 1 wherever it is read is
-    skipped, since 1 * x has the value and type of x.
+    skipped, since 1 * x has the value and type of x.  An n_max below 0,
+    which would leave no row, raises ``ValueError``.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     weights = _band_weights(band, heads, arity * n_max + 1 if n_max > 0 else 0)
     for d, w in weights.items():
         if all(type(x) is int and x == 1 for x in w[max(d, 0):]):

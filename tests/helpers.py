@@ -43,15 +43,22 @@ def naive_det(m):
     return total
 
 
-def naive_first_negative_minor(m, r):
-    """Brute-force scan of all minors of order <= r, in the checker's order."""
+def naive_first_negative_minor(m, r, det=naive_det):
+    """Brute-force scan of all minors of order <= r, in the checker's order.
+
+    ``det`` evaluates each minor; a minor with a zero row or column is 0 and
+    is skipped.  Pass ``det_exact`` for matrices too large for the O(n!)
+    default.
+    """
     nrows, ncols = len(m), len(m[0])
     for order in range(1, min(r, nrows, ncols) + 1):
         for rows in combinations(range(nrows), order):
             for cols in combinations(range(ncols), order):
-                d = naive_det([[m[i][j] for j in cols] for i in rows])
-                if d < 0:
-                    return rows, cols, d
+                sub = [[m[i][j] for j in cols] for i in rows]
+                if all(map(any, sub)) and all(map(any, zip(*sub))):
+                    d = det(sub)
+                    if d < 0:
+                        return rows, cols, d
     return None
 
 

@@ -87,6 +87,16 @@ class TestGenerate:
         assert code == 2
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["dir", "missing/t.txt"])
+    def test_unwritable_out_exit2(self, capsys, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / target
+        code, report, err = run(capsys, "generate", "--preset", "pascal", "--n", "3",
+                                "--out", str(out))
+        assert code == 2
+        assert report is None
+        assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+
     def test_short_affine_scheme_exit2(self, capsys, tmp_path):
         scheme = {"kind": "three-term", "f": {"affine": ["1"]}, "g": {"constant": "0"}}
         path = tmp_path / "scheme.json"
@@ -141,6 +151,14 @@ class TestCheck:
                            "rows-log-concave")
         assert code == 2
         assert "cache miss" in err
+
+    def test_non_utf8_cached_bfile_exit2(self, capsys, tmp_path):
+        (tmp_path / "A000001.txt").write_bytes(b"0 1\n1 \xff\n")
+        code, report, err = run(capsys, "check", "--oeis", "A000001", "--arity", "1",
+                                "--offline", "--cache-dir", str(tmp_path), "tp")
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: cannot read cached b-file") and "Traceback" not in err
 
     def test_negative_n_exit2(self, capsys):
         code, _, err = run(capsys, "check", "--preset", "pascal", "--n", "-1",
@@ -287,6 +305,13 @@ class TestReportEnvelope:
         assert report["artifact"]["name"] == "tripos"
         assert report["command"] == "check"
 
+    def test_json_to_directory_exit2(self, capsys, tmp_path):
+        code, report, err = run(capsys, "--json", str(tmp_path), "check", "--preset",
+                                "pascal", "--n", "3", "tp")
+        assert code == 2
+        assert report is None
+        assert err.startswith(f"error: cannot write {tmp_path}") and "Traceback" not in err
+
     def test_usage_error_exit2(self, capsys):
         assert main(["check", "--preset", "pascal"]) == 2  # missing checks
 
@@ -420,8 +445,9 @@ triangle_files = st.builds(
 poly_files = number_lines.map("\n".join)
 params = st.lists(st.sampled_from(NUMBERS), min_size=6, max_size=8).map(",".join)
 
-# Every file argument names a file the test writes; "--oeis" always comes
-# with "--offline", so no run touches the network.
+# Every file argument names a file the test writes, and every "--out" a path
+# that cannot be written; "--oeis" always comes with "--offline", so no run
+# touches the network.
 fragments = st.one_of(
     st.tuples(st.sampled_from(("--n", "--s", "--arity", "--tp-order", "--k-max",
                                "--tail-recurrence", "--n-max")), small_ints),
@@ -430,6 +456,7 @@ fragments = st.one_of(
               st.sampled_from(("{triangle}", "{scheme}", "{polys}", "{missing}"))),
     st.tuples(st.just("--preset"), st.sampled_from(PRESET_NAMES + ("nope",))),
     st.tuples(st.just("--direction"), st.sampled_from(("convex", "concave", "up"))),
+    st.tuples(st.just("--out"), st.sampled_from(("{dir}", "{missing}/t.txt"))),
     st.just(("--oeis", "A027907", "--offline", "--cache-dir", "{cache}")),
     st.tuples(st.sampled_from(("rows-log-concave", "rowgen-strong-qlcx", "rowgen-strong-qlcv",
                                "tp", "thm21", "cor22", "thm34", "{polys}", "{triangle}"))),
@@ -464,7 +491,7 @@ def test_cli_exit_contract_fuzz(tmp_path_factory, argv, data):
     # Exit 1 is reserved for a failing property with its witness; every
     # input fault, however malformed, must exit 2 without a traceback.
     tmp = tmp_path_factory.mktemp("fuzz")
-    values = {"missing": tmp / "missing", "cache": tmp / "cache"}
+    values = {"missing": tmp / "missing", "cache": tmp / "cache", "dir": tmp}
     for name, strategy in (("triangle", triangle_files), ("polys", poly_files),
                            ("scheme", scheme_files), ("params", params)):
         if any(f"{{{name}}}" in arg for arg in argv):
@@ -516,3 +543,7 @@ def test_survey_script_smoke(tmp_path, capsys):
         for name in PRESET_NAMES
     }
     assert all(all(flags.values()) for flags in results.values())
+    with pytest.raises(SystemExit) as exc:
+        survey.main(["--n", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err

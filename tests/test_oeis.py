@@ -162,6 +162,39 @@ class TestFetch:
             fetch_bfile("A027907", cache_dir=tmp_path)
         assert not list(tmp_path.iterdir())
 
+    def test_non_utf8_download_not_cached(self, tmp_path, monkeypatch):
+        class FakeResponse:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return b"0 1\n1 \xff\n"
+
+        monkeypatch.setattr(
+            "tripos.oeis.urllib.request.urlopen", lambda url, timeout: FakeResponse()
+        )
+        with pytest.raises(BFileError, match="not UTF-8"):
+            fetch_bfile("A027907", cache_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_non_utf8_cache_raises_bfile_error(self, tmp_path):
+        (tmp_path / "A027907.txt").write_bytes(b"0 1\n1 \xff\n")
+        with pytest.raises(BFileError, match="cannot read cached b-file"):
+            fetch_bfile("A027907", cache_dir=tmp_path, offline=True)
+
+    def test_unreadable_cache_raises_bfile_error(self, tmp_path, monkeypatch):
+        (tmp_path / "A027907.txt").write_text("0 1\n")
+
+        def fail(self, *args, **kwargs):
+            raise PermissionError("denied")
+
+        monkeypatch.setattr("pathlib.Path.read_text", fail)
+        with pytest.raises(BFileError, match="denied"):
+            fetch_bfile("A027907", cache_dir=tmp_path, offline=True)
+
     def test_concurrent_fetches_do_not_corrupt(self, tmp_path, monkeypatch):
         rows = [bisnomial_row(n, 2) for n in range(6)]
         payload = synthetic_bfile(rows).encode()

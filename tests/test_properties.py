@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,8 @@ from helpers import (
     random_q_tp2_matrix,
     random_tp2_matrix,
 )
-from tripos.algebra import QPoly, mat_mul
+from tripos import properties
+from tripos.algebra import QPoly, det_exact, mat_mul
 from tripos.errors import DimensionError, SequenceRangeError
 from tripos.properties import (
     FAILS,
@@ -36,7 +38,14 @@ from tripos.properties import (
     is_tp_r,
     toeplitz,
 )
-from tripos.triangles import bisnomial_row, build_preset, row_polys
+from tripos.triangles import (
+    PRESET_NAMES,
+    bisnomial_row,
+    build_preset,
+    preset,
+    recurrence_matrix,
+    row_polys,
+)
 
 
 class TestLogConcave:
@@ -207,6 +216,60 @@ class TestTotalPositivity:
                 )
                 assert report.witness["minor"] == naive[2]
         assert holds_seen > 10 and fails_seen > 10
+
+
+def tp_report(r_eff, rows=None, cols=None, minor=None, note=None) -> dict:
+    """The ``to_dict()`` of an ``is_tp_r`` report; a witness when ``rows`` is given."""
+    if rows is None:
+        return PropertyReport("totally-positive", (1, r_eff), HOLDS, note=note).to_dict()
+    return PropertyReport("totally-positive", (1, r_eff), FAILS, note=note,
+                          witness={"rows": rows, "cols": cols, "minor": minor}).to_dict()
+
+
+class TestOneWalkOrder:
+    """The scan visits row subsets depth first, so it meets a deeper failure
+    before a shallower one that comes later; the witness must still be the
+    least failure by (order, rows, cols)."""
+
+    def test_order_two_beats_earlier_order_three(self):
+        # rows (0, 1, 2) are TP2 with determinant -1 and come first; the first
+        # order-2 failure needs row 3
+        m = [[1, 1, 0], [1, 1, 1], [0, 1, 1], [1, 0, 0]]
+        assert naive_first_negative_minor(m[:3], 3) == ((0, 1, 2), (0, 1, 2), -1)
+        assert is_tp_r(m, 3).to_dict() == tp_report(3, (0, 3), (0, 1), -1)
+        assert is_tp_r(m[:3], 3).to_dict() == tp_report(3, (0, 1, 2), (0, 1, 2), -1)
+
+    def test_last_row_entry_beats_earlier_order_two(self):
+        m = [[1, 2], [3, 4], [1, -1]]
+        assert is_tp_r(m, 2).to_dict() == tp_report(2, (2,), (1,), -1)
+        assert is_tp_r(m[:2], 2).to_dict() == tp_report(2, (0, 1), (0, 1), -2)
+
+    @pytest.mark.parametrize("m, r, expected", [
+        ([[]], 2, tp_report(0, note="r clamped from 2 to 0 (matrix is 1x0)")),
+        ([], 1, tp_report(0, note="r clamped from 1 to 0 (matrix is 0x0)")),
+        ([[1, 0, -2]], 3, tp_report(1, (0,), (2,), -2,
+                                    note="r clamped from 3 to 1 (matrix is 1x3)")),
+        ([[2], [0], [3]], 2, tp_report(1, note="r clamped from 2 to 1 (matrix is 3x1)")),
+        ([[2], [-1], [3]], 1, tp_report(1, (1,), (0,), -1)),
+        ([[1, 2], [0, 0], [3, 1]], 2, tp_report(2, (0, 2), (0, 1), -5)),
+        ([[0, 0], [0, 0]], 2, tp_report(2)),
+        ([[1, 1], [1, 2]], 5, tp_report(2, note="r clamped from 5 to 2 (matrix is 2x2)")),
+    ], ids=["no-columns", "no-rows", "one-row", "one-column", "one-column-fails",
+            "zero-row", "all-zero", "r-above-size"])
+    def test_edge_shapes(self, m, r, expected):
+        assert is_tp_r(m, r).to_dict() == expected
+
+    @pytest.mark.parametrize("size, r", [(6, 3), (8, 4), (7, 7)])
+    def test_one_laplace_step_per_row_subset(self, monkeypatch, size, r):
+        # one table per row j-subset, j <= r; the per-order walks this one
+        # replaced took 60, 251 and 247 steps on these matrices
+        calls = []
+        extend = properties._extend
+        monkeypatch.setattr(properties, "_extend",
+                            lambda *args: calls.append(1) or extend(*args))
+        m = build_preset("pascal", size - 1).to_matrix(size, size)
+        assert is_tp_r(m, r).holds
+        assert len(calls) == sum(comb(size, j) for j in range(1, r + 1))
 
 
 class TestPolyaFrequency:
@@ -405,7 +468,38 @@ def test_tp_r_matches_reference(m, r):
         assert type(report.witness["minor"]) is type(minor)
 
 
-seqs = st.lists(st.integers(0, 20), min_size=3, max_size=7)
+def sparse_structured_matrices():
+    """8x8 and 9x9 truncations of every preset, Toeplitz windows of their
+    rows and recurrence matrices, each with one entry on or below the
+    diagonal raised or lowered by 1, and r from 2 to 4 (at most 3 at 9x9,
+    where a holding order-4 reference scan is slow)."""
+    rng = random.Random(2024)
+    cases = []
+    for name in PRESET_NAMES:
+        s = 2 if name == "s_pascal" else None
+        mats = {f"{name}-{size}": build_preset(name, size - 1, s=s).to_matrix(size, size)
+                for size in (8, 9)}
+        mats[f"toeplitz-{name}"] = toeplitz(NumSeq(build_preset(name, 8, s=s).rows[-1]), 8)
+        if preset(name, s).const_params is not None:
+            mats[f"recurrence-{name}"] = recurrence_matrix(preset(name, s).const_params, 9)
+        for label, m in mats.items():
+            i = rng.randrange(1, len(m))
+            m[i][rng.randrange(i + 1)] += rng.choice((-1, 1))
+            r = 2 + len(cases) % (3 if len(m) == 8 else 2)
+            cases.append(pytest.param(m, r, id=f"{label}-r{r}"))
+    return cases
+
+
+@pytest.mark.parametrize("m, r", sparse_structured_matrices())
+def test_tp_r_matches_reference_on_sparse_structured(m, r):
+    expected = naive_first_negative_minor(m, r, det=det_exact)
+    if expected is None:
+        assert is_tp_r(m, r).to_dict() == tp_report(r)
+    else:
+        assert is_tp_r(m, r).to_dict() == tp_report(r, *expected)
+
+
+seqs =st.lists(st.integers(0, 20), min_size=3, max_size=7)
 
 
 @given(seqs)

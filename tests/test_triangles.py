@@ -26,6 +26,7 @@ from tripos.errors import (
     UnknownPresetError,
 )
 from tripos.triangles import (
+    PRESET_NAMES,
     CoeffScheme,
     ConstParams,
     Triangle,
@@ -158,6 +159,20 @@ class TestConstParams:
         t = from_const_params(ConstParams(1, 0, 0, 0, 1, 0, 0), 4)
         for n in range(5):
             assert list(t.rows[n]) == [1] + [0] * (2 * n)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda n: from_three_term(ONE, ONE, n),
+    lambda n: from_five_term(ONE, ONE, ONE, ZERO, ZERO, n),
+    lambda n: from_const_params(ConstParams(1, 1, 0, 1, 1, 1, 0), n),
+    lambda n: from_bisnomial(2, n),
+    *(lambda n, name=name: build_preset(name, n, s=2 if name == "s_pascal" else None)
+      for name in PRESET_NAMES),
+], ids=["three-term", "five-term", "const-params", "bisnomial", *PRESET_NAMES])
+def test_negative_n_max_rejected(generate):
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        generate(-1)
+    assert len(generate(0).rows) == 1
 
 
 class TestPresets:
