@@ -454,17 +454,13 @@ def test_tp_r_matches_reference(m, r):
     report = is_tp_r(m, r)
     expected = naive_first_negative_minor(m, r)
     if expected is None:
-        assert report.to_dict() == PropertyReport(
-            "totally-positive", (1, r_eff), HOLDS, note=note).to_dict()
+        assert report.to_dict() == tp_report(r_eff, note=note)
     else:
         rows, cols, minor = expected
         # det_exact gives an integral minor as int, whatever the entry types
         if minor.denominator == 1:
             minor = int(minor)
-        assert report.to_dict() == PropertyReport(
-            "totally-positive", (1, r_eff), FAILS,
-            witness={"rows": rows, "cols": cols, "minor": minor}, note=note,
-        ).to_dict()
+        assert report.to_dict() == tp_report(r_eff, rows, cols, minor, note=note)
         assert type(report.witness["minor"]) is type(minor)
 
 
@@ -499,7 +495,7 @@ def test_tp_r_matches_reference_on_sparse_structured(m, r):
         assert is_tp_r(m, r).to_dict() == tp_report(r, *expected)
 
 
-seqs =st.lists(st.integers(0, 20), min_size=3, max_size=7)
+seqs = st.lists(st.integers(0, 20), min_size=3, max_size=7)
 
 
 @given(seqs)
