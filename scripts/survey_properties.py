@@ -13,6 +13,9 @@ and for presets expressible with constant five-term weights additionally:
 
 Usage:
   python scripts/survey_properties.py [--n 20] [--json out.json]
+
+Exit status: 0 when every flag holds, 1 when one does not, 2 for a usage
+error or a --json path that cannot be written.
 """
 
 from __future__ import annotations
@@ -88,8 +91,12 @@ def main(argv: list[str] | None = None) -> int:
         if not all(flags.values())
     }
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.json, "w") as fh:
+                json.dump(results, fh, indent=2, sort_keys=True)
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.json}")
     if failures:
         print(f"FAILURES: {failures}")

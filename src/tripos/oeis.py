@@ -86,8 +86,8 @@ def fetch_bfile(
     Offline mode never touches the network: a cache miss is an explicit
     error.  Downloads are stored verbatim before parsing, atomically, so a
     concurrent fetch of the same id cannot leave a torn file behind.  A
-    cached file or download that cannot be read as text raises
-    ``BFileError``.
+    cached file or download that cannot be read as text, or a cache that
+    cannot be written, raises ``BFileError``.
     """
     if not _ID_RE.match(oid):
         raise BFileError(f"not a valid OEIS id: {oid!r} (expected A followed by 6 digits)")
@@ -112,16 +112,19 @@ def fetch_bfile(
     except UnicodeDecodeError as exc:
         raise BFileError(f"{url} is not UTF-8 text: {exc}") from exc
     parsed = parse_bfile(text, oid)  # reject malformed downloads before caching
-    cache.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache, prefix=f".{oid}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache, prefix=f".{oid}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise BFileError(f"cannot write b-file cache {path}: {exc}") from exc
     return parsed
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .algebra import ExactRat, QPoly, det_exact, format_exact, poly_geq_q
@@ -335,6 +335,47 @@ def _first_negative_minor(
     return found
 
 
+def _neville_passes(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether Neville elimination of the square integer matrix ``rows`` needs
+    no row exchange, has only multipliers >= 0 and only diagonal pivots > 0.
+
+    Column k is cleared from the bottom up: row i becomes p*row_i - x*row_{i-1}
+    for x = row_i[k] != 0 and p = row_{i-1}[k], which must both be > 0, and is
+    then divided by its gcd.  Each row so stays a positive multiple of the
+    exact elimination's row, so every sign, multiplier and pivot test is the
+    exact one, without a ``Fraction``.  Columns left of k are never read
+    again, so only the tail right of k is updated."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    for k in range(n):
+        for i in range(n - 1, k, -1):
+            x = a[i][k]
+            if x:
+                p = a[i - 1][k]
+                if x < 0 or p <= 0:
+                    return False
+                tail = [p * u - x * v for u, v in zip(a[i][k + 1:], a[i - 1][k + 1:])]
+                g = gcd(*tail)
+                a[i][k + 1:] = [u // g for u in tail] if g > 1 else tail
+        if a[k][k] <= 0:
+            return False
+    return True
+
+
+def _totally_nonnegative(rows: list[list[int]]) -> bool:
+    """A certificate that the square integer matrix ``rows`` is nonsingular
+    and totally nonnegative, so that every minor of every order is >= 0.
+
+    Gasca & Peña, "Total positivity and Neville elimination", LAA 165 (1992):
+    a nonsingular matrix is totally nonnegative iff the Neville elimination
+    of it and of its transpose needs no row exchange, every multiplier is
+    >= 0 and every diagonal pivot is > 0 (:func:`_neville_passes`).  A
+    passing elimination has determinant equal to the product of its positive
+    pivots, so a singular matrix always fails; ``False`` only means that the
+    certificate does not apply."""
+    return _neville_passes(rows) and _neville_passes(list(zip(*rows)))
+
+
 def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
     """Row and column counts of a matrix; a ragged one raises ``DimensionError``."""
     nrows = len(matrix)
@@ -347,6 +388,15 @@ def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
     return nrows, ncols
 
 
+def _clear_rows(matrix: Sequence[Sequence[ExactRat]]) -> list[list[int]]:
+    """Each row times the lcm of its entries' denominators, as integers."""
+    cleared = []
+    for row in matrix:
+        mult = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (mult // x.denominator) for x in row])
+    return cleared
+
+
 def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     """Total positivity of order r: every minor of order <= r is nonnegative.
 
@@ -354,7 +404,9 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     lexicographic row and column subsets (:func:`_first_negative_minor`).
     Each row is scaled by the lcm of its denominators first, which keeps
     every minor's sign, so the scan runs on integers; the witness minor is
-    then recomputed with :func:`det_exact` on the original entries.
+    then recomputed with :func:`det_exact` on the original entries.  A
+    square matrix that :func:`_totally_nonnegative` certifies holds without
+    the scan; every other matrix is scanned.
     """
     if r < 1:
         raise ValueError("minor order r must be >= 1")
@@ -362,11 +414,9 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     r_eff = min(r, nrows, ncols)
     note = None if r_eff == r else (
         f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})")
-    cleared = []
-    for row in matrix:
-        mult = lcm(*(x.denominator for x in row))
-        cleared.append([x.numerator * (mult // x.denominator) for x in row])
-    found = _first_negative_minor(cleared, ncols, r_eff)
+    cleared = _clear_rows(matrix)
+    certified = nrows == ncols and _totally_nonnegative(cleared)
+    found = None if certified else _first_negative_minor(cleared, ncols, r_eff)
     if found:
         rows, cols = found
         minor = det_exact([[matrix[i][j] for j in cols] for i in rows])

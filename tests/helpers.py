@@ -1,14 +1,16 @@
 """Independent oracles and random-instance builders shared by the tests.
 
 Everything here deliberately avoids the code paths it is used to check:
-determinants come from the permutation expansion, generalized binomial rows
-from plain list convolution, q-binomials from the q-Pascal recurrence.
+determinants come from the permutation expansion or from division-free
+Gaussian elimination, generalized binomial rows from plain list
+convolution, q-binomials from the q-Pascal recurrence.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable
 
@@ -43,12 +45,38 @@ def naive_det(m):
     return total
 
 
-def naive_first_negative_minor(m, r, det=naive_det):
+def gauss_det(m):
+    """Determinant by division-free Gaussian elimination with row swaps
+    (exact, O(n^3)); an integral value is returned as ``int``.
+
+    Row i becomes p*row_i - x*row_k for the pivot p of column k, which
+    multiplies the determinant by p; the product of those factors divides
+    the product of the final diagonal."""
+    a = [list(row) for row in m]
+    n, num, den = len(a), 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            num = -num
+        p = a[k][k]
+        num *= p
+        for i in range(k + 1, n):
+            x = a[i][k]
+            if x:
+                a[i] = [p * u - x * v for u, v in zip(a[i], a[k])]
+                den *= p
+    d = Fraction(num) / den
+    return int(d) if d.denominator == 1 else d
+
+
+def naive_first_negative_minor(m, r):
     """Brute-force scan of all minors of order <= r, in the checker's order.
 
-    ``det`` evaluates each minor; a minor with a zero row or column is 0 and
-    is skipped.  Pass ``det_exact`` for matrices too large for the O(n!)
-    default.
+    Each minor is evaluated with :func:`gauss_det`; a minor with a zero row
+    or column is 0 and is skipped.
     """
     nrows, ncols = len(m), len(m[0])
     for order in range(1, min(r, nrows, ncols) + 1):
@@ -56,7 +84,7 @@ def naive_first_negative_minor(m, r, det=naive_det):
             for cols in combinations(range(ncols), order):
                 sub = [[m[i][j] for j in cols] for i in rows]
                 if all(map(any, sub)) and all(map(any, zip(*sub))):
-                    d = det(sub)
+                    d = gauss_det(sub)
                     if d < 0:
                         return rows, cols, d
     return None

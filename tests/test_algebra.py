@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_det
+from helpers import gauss_det, naive_det
 from tripos.algebra import (
     QPoly,
     det_exact,
@@ -140,6 +140,18 @@ class TestDetExact:
                 for _ in range(n)
             ]
             assert det_exact(m) == naive_det(m)
+
+    def test_elimination_oracle_matches_permutation_expansion(self):
+        # the O(n^3) reference behind the minor scans' oracle, on int,
+        # Fraction and zero entries (so pivots need row swaps)
+        rng = random.Random(20261018)
+        entries = (0, 0, 1, -2, 3, Fraction(1, 3), Fraction(-5, 2))
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            d = gauss_det(m)
+            assert d == naive_det(m), m
+            assert type(d) is (int if d == int(d) else Fraction), m
 
 
 class TestPlumbing:

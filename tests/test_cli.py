@@ -160,6 +160,27 @@ class TestCheck:
         assert report is None
         assert err.startswith("error: cannot read cached b-file") and "Traceback" not in err
 
+    def test_unwritable_cache_dir_exit2(self, capsys, tmp_path, monkeypatch):
+        class FakeResponse:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return b"0 1\n1 1\n"
+
+        monkeypatch.setattr("tripos.oeis.urllib.request.urlopen",
+                            lambda url, timeout: FakeResponse())
+        cache = tmp_path / "not-a-dir"
+        cache.write_text("")
+        code, report, err = run(capsys, "check", "--oeis", "A000001", "--arity", "1",
+                                "--cache-dir", str(cache), "tp")
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: cannot write b-file cache") and "Traceback" not in err
+
     def test_negative_n_exit2(self, capsys):
         code, _, err = run(capsys, "check", "--preset", "pascal", "--n", "-1",
                            "rows-log-concave")
@@ -547,3 +568,9 @@ def test_survey_script_smoke(tmp_path, capsys):
         survey.main(["--n", "-1"])
     assert exc.value.code == 2
     assert "non-negative" in capsys.readouterr().err
+    # a --json path that cannot be written: the table is printed first, then
+    # one line on stderr
+    assert survey.main(["--n", "2", "--json", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "presets surveyed" in out
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1

@@ -195,6 +195,33 @@ class TestFetch:
         with pytest.raises(BFileError, match="denied"):
             fetch_bfile("A027907", cache_dir=tmp_path, offline=True)
 
+    def test_unwritable_cache_raises_bfile_error(self, tmp_path, monkeypatch):
+        class FakeResponse:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return b"0 1\n1 1\n"
+
+        monkeypatch.setattr(
+            "tripos.oeis.urllib.request.urlopen", lambda url, timeout: FakeResponse()
+        )
+        cache = tmp_path / "not-a-dir"
+        cache.write_text("")
+        with pytest.raises(BFileError, match="cannot write b-file cache"):
+            fetch_bfile("A027907", cache_dir=cache)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("denied")
+
+        monkeypatch.setattr("tripos.oeis.os.replace", refuse)
+        with pytest.raises(BFileError, match="denied"):
+            fetch_bfile("A027907", cache_dir=tmp_path / "cache")
+        assert not list((tmp_path / "cache").iterdir())  # the temp file is gone
+
     def test_concurrent_fetches_do_not_corrupt(self, tmp_path, monkeypatch):
         rows = [bisnomial_row(n, 2) for n in range(6)]
         payload = synthetic_bfile(rows).encode()

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    gauss_det,
     has_internal_zero_gap,
     naive_first_failing_pair,
     naive_first_negative_minor,
@@ -16,7 +17,7 @@ from helpers import (
     random_tp2_matrix,
 )
 from tripos import properties
-from tripos.algebra import QPoly, det_exact, mat_mul
+from tripos.algebra import QPoly, mat_mul
 from tripos.errors import DimensionError, SequenceRangeError
 from tripos.properties import (
     FAILS,
@@ -262,14 +263,50 @@ class TestOneWalkOrder:
     @pytest.mark.parametrize("size, r", [(6, 3), (8, 4), (7, 7)])
     def test_one_laplace_step_per_row_subset(self, monkeypatch, size, r):
         # one table per row j-subset, j <= r; the per-order walks this one
-        # replaced took 60, 251 and 247 steps on these matrices
-        calls = []
-        extend = properties._extend
-        monkeypatch.setattr(properties, "_extend",
-                            lambda *args: calls.append(1) or extend(*args))
+        # replaced took 60, 251 and 247 steps on these matrices.  is_tp_r
+        # certifies these without walking, so the walk is called directly.
+        calls = count_laplace_steps(monkeypatch)
         m = build_preset("pascal", size - 1).to_matrix(size, size)
-        assert is_tp_r(m, r).holds
+        assert properties._first_negative_minor(m, size, r) is None
         assert len(calls) == sum(comb(size, j) for j in range(1, r + 1))
+
+
+def count_laplace_steps(monkeypatch) -> list:
+    """A list that gains one entry per call of ``properties._extend``."""
+    calls = []
+    extend = properties._extend
+    monkeypatch.setattr(properties, "_extend",
+                        lambda *args: calls.append(1) or extend(*args))
+    return calls
+
+
+class TestNevilleRoute:
+    """A square matrix that Neville elimination certifies totally nonnegative
+    holds without a walk; every other matrix is walked as before."""
+
+    PASCAL = build_preset("pascal", 7).to_matrix(8, 8)
+
+    def test_certified_matrix_takes_no_laplace_step(self, monkeypatch):
+        calls = count_laplace_steps(monkeypatch)
+        assert is_tp_r(self.PASCAL, 4).to_dict() == tp_report(4)
+        assert calls == []
+
+    def test_failing_matrix_walks_to_its_witness(self, monkeypatch):
+        calls = count_laplace_steps(monkeypatch)
+        m = build_preset("motzkin", 7).to_matrix(8, 8)
+        assert naive_first_negative_minor(m, 3) == ((1, 2, 3), (0, 1, 2), -1)
+        assert is_tp_r(m, 3).to_dict() == tp_report(3, (1, 2, 3), (0, 1, 2), -1)
+        assert calls
+
+    @pytest.mark.parametrize("m", [
+        [row[:6] for row in PASCAL],
+        PASCAL[:7] + [[0] * 8],
+        PASCAL[:7] + PASCAL[6:7],
+    ], ids=["rectangular", "zero-row", "repeated-row"])
+    def test_rectangular_or_singular_matrix_walks(self, monkeypatch, m):
+        calls = count_laplace_steps(monkeypatch)
+        assert is_tp_r(m, 3).to_dict() == tp_report(3)
+        assert calls
 
 
 class TestPolyaFrequency:
@@ -400,9 +437,10 @@ entry_kinds = st.sampled_from(
 
 
 @st.composite
-def dense_matrices(draw):
+def dense_matrices(draw, square=False):
     """Rows of int, Fraction or mixed entries, some rows and columns zeroed."""
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 6))
     m = []
     for _ in range(nrows):
         entries = draw(entry_kinds)
@@ -415,13 +453,15 @@ def dense_matrices(draw):
     return m
 
 
+weights = st.one_of(st.integers(0, 3),
+                    st.fractions(min_value=0, max_value=3, max_denominator=4))
+
+
 @st.composite
-def bidiagonal_products(draw):
+def bidiagonal_products(draw, square=False):
     """A window of a product of nonnegative bidiagonal factors, which is
     totally nonnegative; raising one entry may break that."""
     size = draw(st.integers(1, 6))
-    weights = st.one_of(st.integers(0, 3),
-                        st.fractions(min_value=0, max_value=3, max_denominator=4))
     m = [[int(i == j) for j in range(size)] for i in range(size)]
     for _ in range(draw(st.integers(1, 3))):
         factor = [[0] * size for _ in range(size)]
@@ -434,7 +474,8 @@ def bidiagonal_products(draw):
                 else:
                     factor[i][i + 1] = draw(weights)
         m = mat_mul(m, factor)
-    nrows, ncols = draw(st.integers(1, size)), draw(st.integers(1, size))
+    nrows = draw(st.integers(1, size))
+    ncols = nrows if square else draw(st.integers(1, size))
     m = [row[:ncols] for row in m[:nrows]]
     if draw(st.booleans()):
         i = draw(st.integers(0, len(m) - 1))
@@ -457,11 +498,50 @@ def test_tp_r_matches_reference(m, r):
         assert report.to_dict() == tp_report(r_eff, note=note)
     else:
         rows, cols, minor = expected
-        # det_exact gives an integral minor as int, whatever the entry types
-        if minor.denominator == 1:
-            minor = int(minor)
+        # det_exact and gauss_det both give an integral minor as int
         assert report.to_dict() == tp_report(r_eff, rows, cols, minor, note=note)
         assert type(report.witness["minor"]) is type(minor)
+
+
+@st.composite
+def sparse_triangular(draw):
+    """Lower-triangular matrices with a positive diagonal, like the preset
+    truncations, and mostly zero or small nonnegative entries below it; one
+    of those is sometimes negative.  Half of them are transposed."""
+    size = draw(st.integers(1, 6))
+    below = st.one_of(st.just(0), weights)
+    m = [[draw(weights.filter(bool) if j == i else below) if j <= i else 0
+          for j in range(size)] for i in range(size)]
+    if size > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, size - 1))
+        m[i][draw(st.integers(0, i - 1))] = -draw(st.integers(1, 3))
+    return [list(col) for col in zip(*m)] if draw(st.booleans()) else m
+
+
+@st.composite
+def singular_tn_matrices(draw):
+    """A square bidiagonal product with a row replaced by zeros, or with a
+    row and the last column each repeated next to themselves: singular, and
+    totally nonnegative unless the product had an entry raised."""
+    m = draw(bidiagonal_products(square=True))
+    i = draw(st.integers(0, len(m) - 1))
+    if draw(st.booleans()):
+        m.insert(i, list(m[i]))
+        m = [row + [row[-1]] for row in m]
+    else:
+        m[i] = [0] * len(m)
+    return m
+
+
+@given(st.one_of(dense_matrices(square=True), bidiagonal_products(square=True),
+                 sparse_triangular(), singular_tn_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_neville_certificate_matches_reference(m):
+    # certified exactly when no minor of any order is negative and the
+    # determinant is not zero; int, Fraction and mixed rows are cleared first
+    certified = properties._totally_nonnegative(properties._clear_rows(m))
+    tn = naive_first_negative_minor(m, len(m)) is None
+    assert certified == (tn and gauss_det(m) != 0)
 
 
 def sparse_structured_matrices():
@@ -488,7 +568,7 @@ def sparse_structured_matrices():
 
 @pytest.mark.parametrize("m, r", sparse_structured_matrices())
 def test_tp_r_matches_reference_on_sparse_structured(m, r):
-    expected = naive_first_negative_minor(m, r, det=det_exact)
+    expected = naive_first_negative_minor(m, r)
     if expected is None:
         assert is_tp_r(m, r).to_dict() == tp_report(r)
     else:
