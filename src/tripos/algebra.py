@@ -18,7 +18,7 @@ from functools import reduce
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionError
+from .errors import DigitLimitError, DimensionError
 
 ExactRat = Union[int, Fraction]
 
@@ -28,11 +28,18 @@ def as_fraction(x: ExactRat) -> Fraction:
 
 
 def parse_exact(text: str) -> ExactRat:
-    """Parse an exact integer-or-fraction string such as ``-3`` or ``7/2``.
+    """Parse an exact number such as ``-3``, ``7/2``, ``0.5`` or ``1e3``.
 
-    Raises ``ValueError`` for any text that is not such a number, a zero
+    Integral values come back as ``int``, others as ``Fraction``.  Raises
+    ``ValueError`` for any text that is not such a number, a zero
     denominator included.
     """
+    try:
+        # int() accepts only strings that Fraction() accepts too, gives the
+        # same value and is about ten times faster; the rest go on below.
+        return int(text)
+    except ValueError:
+        pass
     try:
         f = Fraction(text.strip())
     except ZeroDivisionError as exc:
@@ -41,10 +48,16 @@ def parse_exact(text: str) -> ExactRat:
 
 
 def format_exact(x: ExactRat) -> str:
-    """Inverse of :func:`parse_exact`; integers print without a denominator."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(x)
+    """Inverse of :func:`parse_exact`; integers print without a denominator.
+
+    A number past Python's int-to-str digit limit raises ``DigitLimitError``.
+    """
+    try:
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return str(x.numerator)
+        return str(x)
+    except ValueError as exc:
+        raise DigitLimitError() from exc
 
 
 def _strip(coeffs: list) -> tuple:

@@ -23,7 +23,7 @@ from .conditions import (
     q_log_convexity_conditions,
     verify_tail_recurrence,
 )
-from .errors import FileFormatError, TriposError
+from .errors import DigitLimitError, FileFormatError, TriposError
 from .oeis import fetch_bfile, reshape, resolve_cache_dir, trim_to_rows
 from .properties import FAILS, INAPPLICABLE, TRIANGLE_CHECKS, PolySeq
 from .transforms import check_preservation
@@ -322,7 +322,10 @@ def main(argv: list[str] | None = None) -> int:
             "exit_status": code,
             "timing_ms": round((time.perf_counter() - started) * 1000, 3),
         }
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2)
+        except ValueError as exc:  # an int past the int-to-str digit limit
+            raise DigitLimitError() from exc
         if args.json:
             _write(args.json, text + "\n")
     except TriposError as exc:

@@ -4,6 +4,8 @@ Everything raised here signals bad input or unusable configuration, never a
 failed mathematical property (property failures are reported, not raised).
 """
 
+import sys
+
 
 class TriposError(Exception):
     """Base class for all input / configuration errors."""
@@ -51,3 +53,13 @@ class CacheMissError(TriposError):
 
 class FetchError(TriposError):
     """Network retrieval failed."""
+
+
+class DigitLimitError(TriposError):
+    """A number has more digits than Python's int-to-str limit allows to print."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            f"cannot print a number of more than {sys.get_int_max_str_digits()} "
+            "digits (Python's int-to-str limit)"
+        )

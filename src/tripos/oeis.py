@@ -8,6 +8,7 @@ reproducible; cache writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
+import http.client
 import os
 import re
 import tempfile
@@ -84,10 +85,11 @@ def fetch_bfile(
     """Return the b-file for an id, from cache if warm, otherwise over HTTPS.
 
     Offline mode never touches the network: a cache miss is an explicit
-    error.  Downloads are stored verbatim before parsing, atomically, so a
-    concurrent fetch of the same id cannot leave a torn file behind.  A
-    cached file or download that cannot be read as text, or a cache that
-    cannot be written, raises ``BFileError``.
+    error.  A download that fails or is cut short raises ``FetchError`` and
+    caches nothing.  Downloads are stored verbatim before parsing,
+    atomically, so a concurrent fetch of the same id cannot leave a torn file
+    behind.  A cached file or download that cannot be read as text, or a
+    cache that cannot be written, raises ``BFileError``.
     """
     if not _ID_RE.match(oid):
         raise BFileError(f"not a valid OEIS id: {oid!r} (expected A followed by 6 digits)")
@@ -105,7 +107,7 @@ def fetch_bfile(
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             data = resp.read()
-    except (urllib.error.URLError, OSError) as exc:
+    except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
         raise FetchError(f"could not retrieve {url}: {exc}") from exc
     try:
         text = data.decode("utf-8")

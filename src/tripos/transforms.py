@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import QPoly
-from .errors import FileFormatError, SequenceRangeError
+from .errors import SequenceRangeError
 from .properties import (
     FAILS,
     HOLDS,
@@ -64,22 +64,6 @@ class BilinearForm:
     def serialize(self) -> str:
         """One ``i j coeff`` line per term, sorted lexicographically."""
         return "".join(f"{i} {j} {c}\n" for (i, j), c in self.terms)
-
-    @classmethod
-    def parse(cls, text: str) -> "BilinearForm":
-        mapping: dict[tuple[int, int], int] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise FileFormatError(f"line {lineno}: expected 'i j coeff', got {line!r}")
-            try:
-                i, j, c = (int(p) for p in parts)
-            except ValueError as exc:
-                raise FileFormatError(f"line {lineno}: {exc}") from exc
-            mapping[(i, j)] = mapping.get((i, j), 0) + c
-        return cls.from_map(mapping)
 
 
 def bisnomial_transform(ps: PolySeq, s: int, n_max: int) -> PolySeq:

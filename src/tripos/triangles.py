@@ -103,7 +103,7 @@ class Triangle:
         if len(body) != n_max + 1:
             raise FileFormatError(f"expected {n_max + 1} rows, found {len(body)}")
         try:
-            rows = [tuple(parse_exact(tok) for tok in ln.split()) for ln in body]
+            rows = [tuple(map(parse_exact, ln.split())) for ln in body]
         except ValueError as exc:
             raise FileFormatError(f"bad entry in triangle body: {exc}") from exc
         return cls(tuple(rows), arity)

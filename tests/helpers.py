@@ -531,3 +531,44 @@ def handwritten_q_log_convexity_conditions(p: ConstParams) -> ConditionReport:
         ]),
     ]
     return ConditionReport("thm34", tuple(conditions))
+
+
+# -- input parsing -----------------------------------------------------------------
+
+
+def fraction_parse_exact(text: str) -> ExactRat:
+    """``tripos.algebra.parse_exact`` as it was before its ``int`` fast path:
+    every token goes through ``Fraction``."""
+    try:
+        f = Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
+    return int(f) if f.denominator == 1 else f
+
+
+# -- network ---------------------------------------------------------------------
+
+
+def fake_urlopen(body, calls: list | None = None) -> Callable:
+    """Stand-in for ``urllib.request.urlopen`` whose response ``read`` returns
+    ``body`` or, when ``body`` is an exception, raises it.  Each requested
+    URL is appended to ``calls`` when one is given."""
+
+    class Response:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            if isinstance(body, BaseException):
+                raise body
+            return body
+
+    def urlopen(url, timeout):
+        if calls is not None:
+            calls.append(url)
+        return Response()
+
+    return urlopen

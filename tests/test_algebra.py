@@ -1,13 +1,14 @@
 """Exact polynomial arithmetic, the coefficientwise order, and determinants."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_det, naive_det
+from helpers import fraction_parse_exact, gauss_det, naive_det
 from tripos.algebra import (
     QPoly,
     det_exact,
@@ -16,10 +17,44 @@ from tripos.algebra import (
     parse_exact,
     poly_geq_q,
 )
-from tripos.errors import DimensionError
+from tripos.errors import DigitLimitError, DimensionError, TriposError
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly)
 small_polys = st.lists(st.integers(0, 5), max_size=4).map(QPoly)
+
+# Tokens for the parse_exact differential test.  Digits include non-ASCII
+# decimal digits (Arabic-Indic, Devanagari, fullwidth, mathematical bold),
+# separators are single or doubled underscores, and padding is whitespace
+# that both str.strip() and int() remove.
+_DIGIT = st.sampled_from("0123456789" "\u0660\u0669\u0966\u096f\uff10\uff19\U0001d7ce\U0001d7d7")
+_PAD = st.sampled_from(["", " ", "\t", "\n", "\x0b", "\x1c", "\xa0", "\u2003", "\u3000"])
+_SIGN = st.sampled_from(["", "", "+", "-", "--", "+-", "\u2212"])
+_SEP = st.sampled_from(["", "", "", "_", "__"])
+_digits = st.lists(st.tuples(_SEP, _DIGIT), min_size=1, max_size=12).map(
+    lambda parts: "".join(sep + d for sep, d in parts))
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_long_digits = st.integers(max(_LIMIT - 2, 1), _LIMIT + 3).map(lambda n: "7" * n)
+_integer_token = st.builds(lambda a, sign, digits, b: a + sign + digits + b,
+                           _PAD, _SIGN, st.one_of(_digits, _long_digits), _PAD)
+_ratio_token = st.builds(lambda p, sep, q: p + sep + q, _integer_token,
+                         st.sampled_from(["/", "/", " / ", "//"]),
+                         st.one_of(_integer_token, st.just("0")))
+_decimal_token = st.builds(lambda sign, whole, dot, frac, exp: sign + whole + dot + frac + exp,
+                           _SIGN, st.one_of(st.just(""), _digits), st.sampled_from([".", ""]),
+                           st.one_of(st.just(""), _digits),
+                           st.sampled_from(["", "e3", "E-2", "e+0", "e", "e_1", "e1_0"]))
+_number_tokens = st.one_of(_integer_token, _ratio_token, _decimal_token,
+                           st.text(max_size=8),
+                           st.text(alphabet="0123456789+-_/.eE \t", max_size=10))
+
+
+def _outcome(parse, text):
+    """Value and exact type of a parse, or the type and text of its error."""
+    try:
+        value = parse(text)
+    except Exception as exc:  # compared, never swallowed
+        return ("raised", type(exc), str(exc))
+    return ("value", type(value), value)
 
 
 class TestQPoly:
@@ -159,6 +194,22 @@ class TestPlumbing:
         for text in ("3", "-7", "5/3", "-11/4"):
             assert format_exact(parse_exact(text)) == text
 
+    @settings(max_examples=600, deadline=None)
+    @given(_number_tokens)
+    def test_parse_exact_matches_fraction_parser(self, text):
+        # the int fast path must keep every value, type and error message
+        assert _outcome(parse_exact, text) == _outcome(fraction_parse_exact, text)
+
+    def test_parse_exact_accepted_forms(self):
+        assert parse_exact(" -1_000\n") == -1000
+        assert parse_exact("\u0661\u0662") == 12
+        assert parse_exact("0.5") == Fraction(1, 2)
+        assert type(parse_exact("1e3")) is int and parse_exact("1e3") == 1000
+        assert type(parse_exact("4/2")) is int
+        for text in ("1__0", "_1", "1_", "0x10", "1/0", "", "- 1"):
+            with pytest.raises(ValueError):
+                parse_exact(text)
+
     def test_mat_mul(self):
         a = [[1, 2], [3, 4]]
         b = [[0, 1], [1, 0]]
@@ -168,3 +219,15 @@ class TestPlumbing:
         q = QPoly([0, 1])
         product = mat_mul([[QPoly([1]), q]], [[q], [q]])
         assert product == [[q + q * q]]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+class TestDigitLimit:
+    def test_format_exact_past_limit_raises_tripos_error(self):
+        big = 10 ** sys.get_int_max_str_digits()
+        for x in (big, -big, Fraction(big, 3), Fraction(1, big), Fraction(big, 1)):
+            with pytest.raises(DigitLimitError, match=str(sys.get_int_max_str_digits())):
+                format_exact(x)
+        assert issubclass(DigitLimitError, TriposError)
+        assert format_exact(big // 10) == "1" + "0" * (sys.get_int_max_str_digits() - 1)

@@ -1,15 +1,18 @@
 """CLI surface: exit-status contract, JSON determinism, file round trips."""
 
 import contextlib
+import http.client
 import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fake_urlopen
 from tripos.cli import CHECK_NAMES, main
 from tripos.properties import TRIANGLE_CHECKS
 from tripos.triangles import PRESET_NAMES, Triangle, bisnomial_row, build_preset, row_polys
@@ -161,18 +164,8 @@ class TestCheck:
         assert err.startswith("error: cannot read cached b-file") and "Traceback" not in err
 
     def test_unwritable_cache_dir_exit2(self, capsys, tmp_path, monkeypatch):
-        class FakeResponse:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return b"0 1\n1 1\n"
-
         monkeypatch.setattr("tripos.oeis.urllib.request.urlopen",
-                            lambda url, timeout: FakeResponse())
+                            fake_urlopen(b"0 1\n1 1\n"))
         cache = tmp_path / "not-a-dir"
         cache.write_text("")
         code, report, err = run(capsys, "check", "--oeis", "A000001", "--arity", "1",
@@ -180,6 +173,16 @@ class TestCheck:
         assert code == 2
         assert report is None
         assert err.startswith("error: cannot write b-file cache") and "Traceback" not in err
+
+    def test_truncated_download_exit2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("tripos.oeis.urllib.request.urlopen",
+                            fake_urlopen(http.client.IncompleteRead(b"0 1\n1")))
+        code, report, err = run(capsys, "check", "--oeis", "A000001", "--arity", "1",
+                                "--cache-dir", str(tmp_path), "tp")
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: could not retrieve") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_negative_n_exit2(self, capsys):
         code, _, err = run(capsys, "check", "--preset", "pascal", "--n", "-1",
@@ -392,6 +395,32 @@ def test_malformed_scheme_exit2(capsys, tmp_path, scheme, argv):
     assert code == 2
     assert report is None
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+class TestDigitLimit:
+    """Numbers that parse but whose results are too long to print exit 2."""
+
+    def _assert_exit2(self, capsys, *argv):
+        limit = sys.get_int_max_str_digits()
+        code, report, err = run(capsys, *argv)
+        assert code == 2
+        assert report is None
+        assert err == f"error: cannot print a number of more than {limit} digits " \
+                      "(Python's int-to-str limit)\n"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_witness_past_limit_exit2(self, capsys, tmp_path):
+        # 1^2 >= 10^d * 10^d fails at row 2; the witness rhs has 2d + 1 digits
+        big = 10 ** (sys.get_int_max_str_digits() // 2 + 1)
+        path = tmp_path / "big.txt"
+        path.write_text(f"# arity=1 n_max=2\n1\n1 1\n{big} 1 {big}\n")
+        self._assert_exit2(capsys, "check", "--file", str(path), "rows-log-concave")
+
+    def test_generated_entry_past_limit_exit2(self, capsys):
+        f = 10 ** (sys.get_int_max_str_digits() // 2 + 1)
+        self._assert_exit2(capsys, "generate", "--params", f"1,1,0,1,{f},0,0", "--n", "3")
 
 
 class TestArgumentBounds:

@@ -1,9 +1,11 @@
 """b-file parsing, caching, and triangle reshaping."""
 
+import http.client
 import threading
 
 import pytest
 
+from helpers import fake_urlopen
 from tripos.errors import (
     BFileError,
     CacheMissError,
@@ -20,6 +22,8 @@ from tripos.oeis import (
     trim_to_rows,
 )
 from tripos.triangles import bisnomial_row
+
+URLOPEN = "tripos.oeis.urllib.request.urlopen"
 
 
 def synthetic_bfile(rows):
@@ -110,22 +114,7 @@ class TestFetch:
         rows = [bisnomial_row(n, 2) for n in range(4)]
         payload = synthetic_bfile(rows).encode()
         calls = []
-
-        class FakeResponse:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return payload
-
-        def fake_urlopen(url, timeout):
-            calls.append(url)
-            return FakeResponse()
-
-        monkeypatch.setattr("tripos.oeis.urllib.request.urlopen", fake_urlopen)
+        monkeypatch.setattr(URLOPEN, fake_urlopen(payload, calls))
         b = fetch_bfile("A027907", cache_dir=tmp_path)
         assert calls == [bfile_url("A027907")]
         assert (tmp_path / "A027907.txt").read_bytes() == payload
@@ -139,44 +128,35 @@ class TestFetch:
         def fail(url, timeout):
             raise OSError("unreachable")
 
-        monkeypatch.setattr("tripos.oeis.urllib.request.urlopen", fail)
+        monkeypatch.setattr(URLOPEN, fail)
         with pytest.raises(FetchError):
             fetch_bfile("A027907", cache_dir=tmp_path)
         assert not list(tmp_path.iterdir())  # nothing cached on failure
 
     def test_malformed_download_not_cached(self, tmp_path, monkeypatch):
-        class FakeResponse:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return b"0 1\n5 2\n"
-
-        monkeypatch.setattr(
-            "tripos.oeis.urllib.request.urlopen", lambda url, timeout: FakeResponse()
-        )
+        monkeypatch.setattr(URLOPEN, fake_urlopen(b"0 1\n5 2\n"))
         with pytest.raises(ContiguityError):
             fetch_bfile("A027907", cache_dir=tmp_path)
         assert not list(tmp_path.iterdir())
 
     def test_non_utf8_download_not_cached(self, tmp_path, monkeypatch):
-        class FakeResponse:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return b"0 1\n1 \xff\n"
-
-        monkeypatch.setattr(
-            "tripos.oeis.urllib.request.urlopen", lambda url, timeout: FakeResponse()
-        )
+        monkeypatch.setattr(URLOPEN, fake_urlopen(b"0 1\n1 \xff\n"))
         with pytest.raises(BFileError, match="not UTF-8"):
+            fetch_bfile("A027907", cache_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_truncated_download_raises_fetch_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(URLOPEN, fake_urlopen(http.client.IncompleteRead(b"0 1\n1")))
+        with pytest.raises(FetchError, match="could not retrieve"):
+            fetch_bfile("A027907", cache_dir=tmp_path)
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_status_line_raises_fetch_error(self, tmp_path, monkeypatch):
+        def garbled(url, timeout):
+            raise http.client.BadStatusLine("HTTP/1.1 ???")
+
+        monkeypatch.setattr(URLOPEN, garbled)
+        with pytest.raises(FetchError, match="could not retrieve"):
             fetch_bfile("A027907", cache_dir=tmp_path)
         assert not list(tmp_path.iterdir())
 
@@ -196,19 +176,7 @@ class TestFetch:
             fetch_bfile("A027907", cache_dir=tmp_path, offline=True)
 
     def test_unwritable_cache_raises_bfile_error(self, tmp_path, monkeypatch):
-        class FakeResponse:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return b"0 1\n1 1\n"
-
-        monkeypatch.setattr(
-            "tripos.oeis.urllib.request.urlopen", lambda url, timeout: FakeResponse()
-        )
+        monkeypatch.setattr(URLOPEN, fake_urlopen(b"0 1\n1 1\n"))
         cache = tmp_path / "not-a-dir"
         cache.write_text("")
         with pytest.raises(BFileError, match="cannot write b-file cache"):
@@ -226,19 +194,7 @@ class TestFetch:
         rows = [bisnomial_row(n, 2) for n in range(6)]
         payload = synthetic_bfile(rows).encode()
 
-        class FakeResponse:
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def read(self):
-                return payload
-
-        monkeypatch.setattr(
-            "tripos.oeis.urllib.request.urlopen", lambda url, timeout: FakeResponse()
-        )
+        monkeypatch.setattr(URLOPEN, fake_urlopen(payload))
         results = []
 
         def worker():

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import gaussian_binomial, naive_minor_form
 from tripos.algebra import QPoly
-from tripos.errors import FileFormatError, SequenceRangeError
+from tripos.errors import SequenceRangeError
 from tripos.properties import (
     HOLDS,
     INAPPLICABLE,
@@ -118,14 +118,6 @@ class TestMinorForm:
         text = transform_minor_form(1, 2, 2).serialize()
         lines = [tuple(int(x) for x in ln.split()[:2]) for ln in text.splitlines()]
         assert lines == sorted(lines)
-
-    def test_roundtrip(self):
-        form = transform_minor_form(2, 3, 3)
-        assert BilinearForm.parse(form.serialize()) == form
-
-    def test_parse_errors(self):
-        with pytest.raises(FileFormatError, match="line 2"):
-            BilinearForm.parse("0 1 2\n0 1\n")
 
     def test_keys_normalized(self):
         form = BilinearForm.from_map({(2, 0): 1, (0, 2): 1, (1, 1): 0})

@@ -326,12 +326,15 @@ class TestSerialization:
         assert lines[1:] == ["1", "1 1", "1 2 1"]
 
     def test_fraction_entries_roundtrip(self):
-        from fractions import Fraction
-
         half = CoeffScheme.constant(Fraction(1, 2))
         t = from_three_term(half, ZERO, 3)
         parsed = Triangle.parse(t.serialize())
         assert parsed == t
+        # integral entries come back as int, the others as Fraction
+        mixed = ((7,), (Fraction(-3, 4), -10 ** 40, Fraction(7, 10 ** 12)))
+        parsed = Triangle.parse(Triangle(mixed, 2).serialize())
+        assert [[(type(x), x) for x in row] for row in parsed.rows] == \
+               [[(type(x), x) for x in row] for row in mixed]
 
     def test_missing_header(self):
         with pytest.raises(FileFormatError):
