@@ -12,6 +12,8 @@ holds for every nonzero polynomial.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -27,12 +29,21 @@ def as_fraction(x: ExactRat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+# A decimal token with an exponent, in the grammar Fraction() accepts; the
+# group is the exponent field.
+_DECIMAL_WITH_EXPONENT = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?e([-+]?\d+(?:_\d+)*)",
+    re.IGNORECASE,
+)
+
+
 def parse_exact(text: str) -> ExactRat:
     """Parse an exact number such as ``-3``, ``7/2``, ``0.5`` or ``1e3``.
 
     Integral values come back as ``int``, others as ``Fraction``.  Raises
     ``ValueError`` for any text that is not such a number, a zero
-    denominator included.
+    denominator included, and for an exponent past Python's int-to-str
+    digit limit, which ``Fraction`` would expand into a huge power of ten.
     """
     try:
         # int() accepts only strings that Fraction() accepts too, gives the
@@ -40,10 +51,15 @@ def parse_exact(text: str) -> ExactRat:
         return int(text)
     except ValueError:
         pass
+    token = text.strip()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exp = _DECIMAL_WITH_EXPONENT.fullmatch(token)
+    if limit and exp and abs(int(exp[1])) > limit:
+        raise ValueError(f"exponent of {token!r} is past the {limit}-digit limit")
     try:
-        f = Fraction(text.strip())
+        f = Fraction(token)
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
+        raise ValueError(f"zero denominator in {token!r}") from exc
     return int(f) if f.denominator == 1 else f
 
 

@@ -3,14 +3,15 @@
 Machine-readable JSON goes to stdout (deterministic key order; the timing
 field is the only part that varies between identical runs); a short human
 summary goes to stderr.  Exit status: 0 all properties hold, 1 at least one
-property fails, 2 usage or input error, 3 a precondition gate made the run
-inapplicable.
+property fails, 2 usage, input or output error (a closed stdout included),
+3 a precondition gate made the run inapplicable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -331,7 +332,16 @@ def main(argv: list[str] | None = None) -> int:
     except TriposError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader that closed early (`| head`) is not a failed property.
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 2
     for line in _summarize(reports):
         print(line, file=sys.stderr)
     return code

@@ -8,12 +8,9 @@ reproducible; cache writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
-import http.client
 import os
 import re
 import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +100,12 @@ def fetch_bfile(
         return parse_bfile(text, oid)
     if offline:
         raise CacheMissError(f"offline cache miss: {path} does not exist")
+    # The HTTP stack (ssl, email parsing) costs a third of a cold start and
+    # only a download needs it, so it loads here rather than at import.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     url = bfile_url(oid)
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:

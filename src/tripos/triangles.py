@@ -495,6 +495,8 @@ def preset(name: str, s: int | None = None) -> Preset:
         if s is None or s < 1:
             raise UnknownPresetError("preset s_pascal needs a positive s")
         return replace(p, s=s)
+    if s is not None:
+        raise UnknownPresetError(f"preset {name} takes no s")
     return p
 
 

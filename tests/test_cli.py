@@ -5,6 +5,8 @@ import http.client
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -164,7 +166,7 @@ class TestCheck:
         assert err.startswith("error: cannot read cached b-file") and "Traceback" not in err
 
     def test_unwritable_cache_dir_exit2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr("tripos.oeis.urllib.request.urlopen",
+        monkeypatch.setattr("urllib.request.urlopen",
                             fake_urlopen(b"0 1\n1 1\n"))
         cache = tmp_path / "not-a-dir"
         cache.write_text("")
@@ -175,7 +177,7 @@ class TestCheck:
         assert err.startswith("error: cannot write b-file cache") and "Traceback" not in err
 
     def test_truncated_download_exit2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr("tripos.oeis.urllib.request.urlopen",
+        monkeypatch.setattr("urllib.request.urlopen",
                             fake_urlopen(http.client.IncompleteRead(b"0 1\n1")))
         code, report, err = run(capsys, "check", "--oeis", "A000001", "--arity", "1",
                                 "--cache-dir", str(tmp_path), "tp")
@@ -336,6 +338,24 @@ class TestReportEnvelope:
         assert report is None
         assert err.startswith(f"error: cannot write {tmp_path}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--preset", "pascal", "--n", "2", "tp"],
+        ["generate", "--preset", "pascal", "--n", "300"],
+    ], ids=["check", "generate"])
+    def test_closed_stdout_exit2(self, argv):
+        # A reader that goes away (`tripos generate ... | head -c 10`) is an
+        # output fault, not a failing property: exit 2, one line, no traceback.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.Popen([sys.executable, "-m", "tripos.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == "error: stdout was closed before the report was written\n"
+
     def test_usage_error_exit2(self, capsys):
         assert main(["check", "--preset", "pascal"]) == 2  # missing checks
 
@@ -423,6 +443,33 @@ class TestDigitLimit:
         self._assert_exit2(capsys, "generate", "--params", f"1,1,0,1,{f},0,0", "--n", "3")
 
 
+EXPONENT_COMMANDS = {
+    "triangle-file": (["check", "--file", "{path}", "rows-log-concave"],
+                      "# arity=1 n_max=1\n1\n1e30000000 1\n"),
+    "poly-file": (["transform", "{path}", "--s", "2", "--direction", "convex"], "1\n1 1e30000000\n"),
+    "cor22-params": (["conditions", "cor22", "--params", "1e30000000,1,1,1,1,1,1"], None),
+    "generate-params": (["generate", "--params", "1,1,0,1,1e-30000000,1,0", "--n", "3"], None),
+    "scheme-value": (["generate", "--scheme-file", "{path}", "--n", "3"],
+                     json.dumps({"kind": "three-term", "f": {"constant": "1"},
+                                 "g": {"table": ["1", "2.5E30000000"]}})),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+@pytest.mark.parametrize("argv, content", EXPONENT_COMMANDS.values(), ids=list(EXPONENT_COMMANDS))
+def test_exponent_past_digit_limit_exit2(capsys, tmp_path, argv, content):
+    # Fraction would expand 10**30000000 first: about a minute and 70 MB
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_text(content)
+    code, report, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"past the {sys.get_int_max_str_digits()}-digit limit" in err
+
+
 class TestArgumentBounds:
     def test_k_max_below_two_exit2(self, capsys, tmp_path):
         # The thm21 conditions range over 2 <= k <= k_max: f = 3 breaks them
@@ -462,6 +509,16 @@ class TestArgumentBounds:
         assert code == 2
         assert report is None
         assert "--arity" in err
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--preset", "pascal", "--n", "2"],
+        ["check", "--preset", "pascal", "--n", "2", "rows-log-concave"],
+    ], ids=["generate", "check"])
+    def test_s_on_preset_without_s_exit2(self, capsys, command):
+        code, report, err = run(capsys, *command, "--s", "3")
+        assert code == 2
+        assert report is None
+        assert err == "error: preset pascal takes no s\n"
 
     def test_negative_transform_n_max_exit2(self, capsys, tmp_path):
         path = tmp_path / "ones.txt"

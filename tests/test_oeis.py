@@ -1,7 +1,11 @@
 """b-file parsing, caching, and triangle reshaping."""
 
 import http.client
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,7 @@ from tripos.oeis import (
 )
 from tripos.triangles import bisnomial_row
 
-URLOPEN = "tripos.oeis.urllib.request.urlopen"
+URLOPEN = "urllib.request.urlopen"
 
 
 def synthetic_bfile(rows):
@@ -209,6 +213,33 @@ class TestFetch:
         assert all(r.values == results[0].values for r in results)
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers
+
+
+def test_http_stack_loads_only_for_a_download(tmp_path):
+    # The network modules (and ssl and email parsing with them) are a third
+    # of a cold start; neither the import nor a run that stays offline, on a
+    # cache hit or a cache miss, may load them.
+    rows = [bisnomial_row(n, 2) for n in range(4)]
+    (tmp_path / "A027907.txt").write_text(synthetic_bfile(rows))
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import tripos, tripos.cli\n"
+        "codes = []\n"
+        "for oid in ('A027907', 'A000001'):\n"
+        "    argv = ['check', '--oeis', oid, '--arity', '2', '--offline',\n"
+        "            '--cache-dir', sys.argv[1], 'rows-log-concave']\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(tripos.cli.main(argv))\n"
+        "loaded = {'urllib.request', 'http.client', 'ssl'} & (set(sys.modules) - before)\n"
+        "print(codes, sorted(loaded))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[0, 2] []\n"
 
 
 class TestCacheDirResolution:

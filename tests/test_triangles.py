@@ -206,6 +206,10 @@ class TestPresets:
         with pytest.raises(UnknownPresetError):
             preset("s_pascal")
 
+    def test_s_on_preset_without_s(self):
+        with pytest.raises(UnknownPresetError, match="preset pascal takes no s"):
+            build_preset("pascal", 3, s=2)
+
     def test_wrong_triangle_raises_under_optimize(self):
         # Validation must not rest on assert, which python -O strips.
         script = (
