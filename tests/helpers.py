@@ -8,10 +8,12 @@ convolution, q-binomials from the q-Pascal recurrence.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 from typing import Callable
 
 from tripos.algebra import ExactRat, QPoly, poly_geq_q
@@ -572,3 +574,13 @@ def fake_urlopen(body, calls: list | None = None) -> Callable:
         return Response()
 
     return urlopen
+
+
+# -- subprocesses ----------------------------------------------------------------
+
+
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports tripos from ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}

@@ -5,7 +5,6 @@ import http.client
 import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fake_urlopen
+from helpers import fake_urlopen, src_env
 from tripos.cli import CHECK_NAMES, main
 from tripos.properties import TRIANGLE_CHECKS
 from tripos.triangles import PRESET_NAMES, Triangle, bisnomial_row, build_preset, row_polys
@@ -345,10 +344,7 @@ class TestReportEnvelope:
     def test_closed_stdout_exit2(self, argv):
         # A reader that goes away (`tripos generate ... | head -c 10`) is an
         # output fault, not a failing property: exit 2, one line, no traceback.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.Popen([sys.executable, "-m", "tripos.cli", *argv], env=env,
+        proc = subprocess.Popen([sys.executable, "-m", "tripos.cli", *argv], env=src_env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.close()
         err = proc.stderr.read().decode()

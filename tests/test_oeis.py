@@ -1,15 +1,13 @@
 """b-file parsing, caching, and triangle reshaping."""
 
 import http.client
-import os
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from helpers import fake_urlopen
+from helpers import fake_urlopen, src_env
 from tripos.errors import (
     BFileError,
     CacheMissError,
@@ -234,10 +232,7 @@ def test_http_stack_loads_only_for_a_download(tmp_path):
         "loaded = {'urllib.request', 'http.client', 'ssl'} & (set(sys.modules) - before)\n"
         "print(codes, sorted(loaded))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=src_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout == "[0, 2] []\n"
 
