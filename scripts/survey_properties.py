@@ -32,10 +32,10 @@ from tripos.properties import TRIANGLE_CHECKS, PolySeq, is_tp_r
 from tripos.transforms import check_preservation
 from tripos.triangles import (
     PRESET_NAMES,
+    PRESETS,
     Triangle,
     build_preset,
     from_const_params,
-    preset,
     recurrence_matrix,
     row_polys,
 )
@@ -50,7 +50,7 @@ def survey_preset(name: str, n_max: int) -> dict:
         "matrix-tp2": TRIANGLE_CHECKS["tp"](Triangle(t.rows[:12], t.arity), 2).holds,
     }
 
-    p = preset(name).const_params if name != "s_pascal" else None
+    p = PRESETS[name].const_params
     if p is not None:
         j = recurrence_matrix(p, 10)
         out["conditions-established"] = q_log_convexity_conditions(p).established

@@ -99,10 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     cond.add_argument("--params", metavar="a,b,g,e,f,g,h",
                       help="constant weights (cor22 / thm34)")
     cond.add_argument("--schemes", metavar="PATH", help="JSON scheme file (thm21)")
-    cond.add_argument("--k-max", type=_int_at_least(2, "an integer >= 2"), default=30,
-                      help="largest k of the thm21 conditions, which range over 2 <= k <= k_max")
+    cond.add_argument("--k-max", type=_int_at_least(2, "an integer >= 2"), default=None,
+                      help="largest k of the thm21 conditions, which range over "
+                      "2 <= k <= k_max (default 30)")
     cond.add_argument("--tail-recurrence", type=_positive_int, metavar="N", default=None,
-                      help="also verify the tail-sum recurrence identity up to row N")
+                      help="also verify the tail-sum recurrence identity up to row N "
+                      "(cor22 / thm34)")
 
     tra = sub.add_parser("transform", help="apply the generalized binomial transform "
                                            "and check property preservation")
@@ -191,14 +193,23 @@ def _write(path: str, text: str) -> None:
 # -- command handlers --------------------------------------------------------------
 
 
+def _refuse_unread(args, source: str, *flags: str) -> None:
+    """Exit 2 for a flag that the chosen source or theorem does not read."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise FileFormatError(f"{source} takes no {flag}")
+
+
 def _cmd_generate(args) -> tuple[dict, list[dict], int]:
     if args.preset:
         t = build_preset(args.preset, args.n, s=args.s)
         source = {"preset": args.preset, "s": args.s}
     elif args.params:
+        _refuse_unread(args, "--params", "--s")
         t = from_const_params(parse_const_params(args.params), args.n)
         source = {"params": args.params}
     else:
+        _refuse_unread(args, "--scheme-file", "--s")
         schemes = load_scheme_file(args.scheme_file)
         t = _GENERATORS[schemes.pop("kind")](**schemes, n_max=args.n)
         source = {"scheme_file": args.scheme_file}
@@ -212,9 +223,11 @@ def _cmd_generate(args) -> tuple[dict, list[dict], int]:
 
 def _cmd_check(args) -> tuple[dict, list[dict], int]:
     if args.file:
+        _refuse_unread(args, "--file", "--s", "--n", "--arity")
         t = load_triangle_file(args.file)
         target = {"file": args.file}
     elif args.oeis:
+        _refuse_unread(args, "--oeis", "--s", "--n")
         if args.arity is None:
             raise FileFormatError("--oeis needs --arity to reshape the b-file")
         b = fetch_bfile(args.oeis, cache_dir=args.cache_dir, offline=args.offline)
@@ -225,6 +238,7 @@ def _cmd_check(args) -> tuple[dict, list[dict], int]:
                   "entries_fetched": len(b.entries),
                   "cache_dir": str(resolve_cache_dir(args.cache_dir))}
     else:
+        _refuse_unread(args, "--preset", "--arity")
         if args.n is None:
             raise FileFormatError("--preset needs --n (rows to generate)")
         t = build_preset(args.preset, args.n, s=args.s)
@@ -237,14 +251,17 @@ def _cmd_check(args) -> tuple[dict, list[dict], int]:
 def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
     identity = None
     if args.theorem == "thm21":
+        _refuse_unread(args, "thm21", "--params", "--tail-recurrence")
         if not args.schemes:
             raise FileFormatError("conditions thm21 needs --schemes (five-term scheme file)")
         schemes = load_scheme_file(args.schemes)
         if schemes.pop("kind") != "five-term":
             raise FileFormatError("thm21 takes a five-term scheme file")
-        report = log_concavity_conditions(**schemes, k_max=args.k_max)
-        inputs = {"theorem": "thm21", "schemes": args.schemes, "k_max": args.k_max}
+        k_max = 30 if args.k_max is None else args.k_max
+        report = log_concavity_conditions(**schemes, k_max=k_max)
+        inputs = {"theorem": "thm21", "schemes": args.schemes, "k_max": k_max}
     else:
+        _refuse_unread(args, args.theorem, "--schemes", "--k-max")
         if not args.params:
             raise FileFormatError(f"conditions {args.theorem} needs --params")
         params = parse_const_params(args.params)

@@ -67,5 +67,10 @@ def shapiro_row(n: int) -> list[int]:
     return [k * comb(2 * n, n - k) // n for k in range(1, n + 1)]
 
 
+def ones(n_max: int) -> list[int]:
+    """Column 0 of the s-Pascal triangle: x^0 has coefficient 1 in (1 + ... + x^s)^n."""
+    return [1] * (n_max + 1)
+
+
 def pascal_row(n: int) -> list[int]:
     return [comb(n, k) for k in range(n + 1)]

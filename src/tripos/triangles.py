@@ -34,9 +34,9 @@ uniformly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import add, mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import oracles
 from .algebra import ExactRat, QPoly, format_exact, parse_exact
@@ -208,13 +208,10 @@ class ConstParams:
                 raise ValueError(f"parameter {name} must be nonnegative, got {v}")
 
     def as_tuple(self) -> tuple:
-        return (self.alpha, self.beta, self.gamma, self.e, self.f, self.g, self.h)
+        return tuple(self.as_dict().values())
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-            "e": self.e, "f": self.f, "g": self.g, "h": self.h,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # -- the banded generator ------------------------------------------------------
@@ -323,10 +320,6 @@ def from_bisnomial(s: int, n_max: int) -> Triangle:
 
 def bisnomial_row(n: int, s: int) -> list[int]:
     """Coefficient row of (1 + x + ... + x^s)^n, built by the s+1-term recurrence."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return list(from_bisnomial(s, n).rows[n])
 
 
@@ -393,92 +386,41 @@ def recurrence_matrix(p: ConstParams, size: int) -> list[list[ExactRat]]:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named triangle: its weights and how to validate it independently.
+    """A named triangle: its weights and the oracle that checks it.
 
     The three-term presets give either ``const_params`` (the constant
     five-term weights, with gamma = h = 0) or the (f, g) pair ``schemes``;
-    ``s_pascal`` gives ``s``.  ``validate`` receives the generated triangle
-    and the largest row index to verify, and raises OracleMismatchError on
-    any mismatch with its oracle.
+    ``s_pascal`` gives ``s``.  ``oracle`` names the :mod:`tripos.oracles`
+    function whose index ``first`` is row 0.  For the rows 0..upto that
+    ``build_preset`` checks, oracle(n + first) is row n when ``per_row``;
+    otherwise oracle(upto + first) is all of them, or only their column 0
+    when ``column0``.
     """
 
     name: str
-    validate: Callable[[Triangle, int], None]
+    oracle: str
     const_params: ConstParams | None = None
     schemes: tuple[CoeffScheme, CoeffScheme] | None = None
     s: int | None = None
+    column0: bool = False
+    per_row: bool = False
+    first: int = 0
 
 
-def _check_column0(t: Triangle, upto: int, expected: list[int], what: str) -> None:
-    got = [t.rows[n][0] for n in range(upto + 1)]
-    if got != expected[: upto + 1]:
-        raise OracleMismatchError(f"{what} column-0 mismatch: {got[:8]}...")
-
-
-def _validate_pascal(t: Triangle, upto: int) -> None:
-    for n in range(upto + 1):
-        if list(t.rows[n]) != oracles.pascal_row(n):
-            raise OracleMismatchError(f"pascal row {n} mismatch")
-
-
-def _validate_stirling2(t: Triangle, upto: int) -> None:
-    table = oracles.stirling2_triangle(upto + 1)
-    for n in range(upto + 1):
-        if list(t.rows[n]) != table[n]:
-            raise OracleMismatchError(f"stirling2 row {n} mismatch")
-
-
-def _validate_shapiro(t: Triangle, upto: int) -> None:
-    for n in range(upto + 1):
-        if list(t.rows[n]) != oracles.shapiro_row(n + 1):
-            raise OracleMismatchError(f"shapiro row {n} mismatch")
-
-
-def _validate_s_pascal(t: Triangle, upto: int) -> None:
-    ones = [1] * (upto + 1)
-    _check_column0(t, upto, ones, "s-pascal")
-    for n in range(upto + 1):
-        row = t.rows[n]
-        if any(row[k] != row[len(row) - 1 - k] for k in range(len(row))):
-            raise OracleMismatchError(f"s-pascal row {n} not symmetric")
-
-
-PRESETS: dict[str, Preset] = {
-    "pascal": Preset("pascal", _validate_pascal, ConstParams(1, 1, 0, 1, 1, 0, 0)),
-    "stirling2": Preset("stirling2", _validate_stirling2,
-                        schemes=(CoeffScheme.affine(1, 1), CoeffScheme.constant(0))),
-    "aigner_catalan": Preset(
-        "aigner_catalan",
-        lambda t, upto: _check_column0(
-            t, upto, oracles.catalan_numbers(upto), "aigner_catalan"
-        ),
-        ConstParams(1, 1, 0, 1, 2, 1, 0),
-    ),
-    "shapiro_catalan": Preset("shapiro_catalan", _validate_shapiro,
-                              ConstParams(2, 1, 0, 1, 2, 1, 0)),
-    "motzkin": Preset(
-        "motzkin",
-        lambda t, upto: _check_column0(
-            t, upto, oracles.motzkin_numbers(upto), "motzkin"
-        ),
-        ConstParams(1, 1, 0, 1, 1, 1, 0),
-    ),
-    "bell": Preset(
-        "bell",
-        lambda t, upto: _check_column0(
-            t, upto, oracles.bell_numbers(upto), "bell"
-        ),
-        schemes=(CoeffScheme.affine(1, 1), CoeffScheme.affine(1, 1)),
-    ),
-    "schroder_large": Preset(
-        "schroder_large",
-        lambda t, upto: _check_column0(
-            t, upto, oracles.large_schroder_numbers(upto), "schroder_large"
-        ),
-        ConstParams(2, 1, 0, 1, 3, 2, 0),
-    ),
-    "s_pascal": Preset("s_pascal", _validate_s_pascal),
-}
+PRESETS: dict[str, Preset] = {p.name: p for p in (
+    Preset("pascal", "pascal_row", ConstParams(1, 1, 0, 1, 1, 0, 0), per_row=True),
+    Preset("stirling2", "stirling2_triangle", first=1,
+           schemes=(CoeffScheme.affine(1, 1), CoeffScheme.constant(0))),
+    Preset("aigner_catalan", "catalan_numbers", ConstParams(1, 1, 0, 1, 2, 1, 0), column0=True),
+    Preset("shapiro_catalan", "shapiro_row", ConstParams(2, 1, 0, 1, 2, 1, 0),
+           per_row=True, first=1),
+    Preset("motzkin", "motzkin_numbers", ConstParams(1, 1, 0, 1, 1, 1, 0), column0=True),
+    Preset("bell", "bell_numbers", column0=True,
+           schemes=(CoeffScheme.affine(1, 1), CoeffScheme.affine(1, 1))),
+    Preset("schroder_large", "large_schroder_numbers", ConstParams(2, 1, 0, 1, 3, 2, 0),
+           column0=True),
+    Preset("s_pascal", "ones", column0=True),
+)}
 
 PRESET_NAMES = tuple(sorted(PRESETS))
 
@@ -503,7 +445,9 @@ def preset(name: str, s: int | None = None) -> Preset:
 def build_preset(name: str, n_max: int, s: int | None = None) -> Triangle:
     """Generate a preset triangle, cross-checking it against its oracle.
 
-    Validation runs on min(n_max, VALIDATE_ROWS) rows.
+    Rows 0..min(n_max, VALIDATE_ROWS), or their column 0, must equal what the
+    preset's oracle yields, and s_pascal rows must also be symmetric; any
+    difference raises ``OracleMismatchError``.
     """
     p = preset(name, s)
     if p.s is not None:
@@ -514,5 +458,15 @@ def build_preset(name: str, n_max: int, s: int | None = None) -> Triangle:
         # gamma = h = 0, so offsets -1..1 of the band generate it in arity 1
         band, heads = _const_band(p.const_params)
         t = _banded({d: band[d] for d in (1, 0, -1)}, heads, 1, n_max)
-    p.validate(t, min(n_max, VALIDATE_ROWS))
+    upto = min(n_max, VALIDATE_ROWS)
+    rows = t.rows[:upto + 1]
+    call = getattr(oracles, p.oracle)  # per call, so a wrapper set on the module runs
+    expected = ([call(n + p.first) for n in range(upto + 1)] if p.per_row
+                else call(upto + p.first))
+    got = [row[0] if p.column0 else list(row) for row in rows]
+    if got != expected:
+        what = "column-0" if p.column0 else "rows"
+        raise OracleMismatchError(f"{name} {what} mismatch: {got[:8]}...")
+    if p.s is not None and any(row != row[::-1] for row in rows):
+        raise OracleMismatchError(f"{name} rows not symmetric")
     return t

@@ -526,6 +526,56 @@ class TestArgumentBounds:
         assert "--n-max" in err
 
 
+THM21 = ["conditions", "thm21", "--schemes", "{penta}"]
+COR22 = ["conditions", "cor22", "--params", "1,1,1,1,1,0,0"]
+THM34 = ["conditions", "thm34", "--params", "1,1,0,1,1,1,0"]
+FILE = ["check", "--file", "{triangle}", "rows-log-concave"]
+OEIS = ["check", "--oeis", "A027907", "--arity", "2", "--offline", "--cache-dir", "{dir}",
+        "rows-log-concave"]
+PRESET = ["check", "--preset", "pascal", "--n", "3", "rows-log-concave"]
+PARAMS = ["generate", "--params", "1,1,0,1,2,1,0", "--n", "3"]
+SCHEME_FILE = ["generate", "--scheme-file", "{three}", "--n", "3"]
+
+# (argv that runs, a flag its theorem or source does not read, the error line)
+UNREAD_FLAGS = {
+    "thm21-params": (THM21, ["--params", "1,1,1,1,1,1,1"], "error: thm21 takes no --params"),
+    "thm21-tail-recurrence": (THM21, ["--tail-recurrence", "5"],
+                              "error: thm21 takes no --tail-recurrence"),
+    "cor22-schemes": (COR22, ["--schemes", "{penta}"], "error: cor22 takes no --schemes"),
+    "cor22-k-max": (COR22, ["--k-max", "4"], "error: cor22 takes no --k-max"),
+    "thm34-schemes": (THM34, ["--schemes", "{penta}"], "error: thm34 takes no --schemes"),
+    "thm34-k-max": (THM34, ["--k-max", "30"], "error: thm34 takes no --k-max"),
+    "file-s": (FILE, ["--s", "2"], "error: --file takes no --s"),
+    "file-n": (FILE, ["--n", "9"], "error: --file takes no --n"),
+    "file-arity": (FILE, ["--arity", "3"], "error: --file takes no --arity"),
+    "oeis-s": (OEIS, ["--s", "2"], "error: --oeis takes no --s"),
+    "oeis-n": (OEIS, ["--n", "3"], "error: --oeis takes no --n"),
+    "preset-arity": (PRESET, ["--arity", "1"], "error: --preset takes no --arity"),
+    "params-s": (PARAMS, ["--s", "3"], "error: --params takes no --s"),
+    "scheme-file-s": (SCHEME_FILE, ["--s", "3"], "error: --scheme-file takes no --s"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, line", UNREAD_FLAGS.values(), ids=list(UNREAD_FLAGS))
+def test_unread_flag_exit2(capsys, tmp_path, argv, flag, line):
+    # A flag that the chosen theorem or source would ignore is refused, so
+    # nothing the user asked for goes unchecked.
+    values = {name: tmp_path / f"{name}.json" for name in ("penta", "three")}
+    values["triangle"], values["dir"] = tmp_path / "t.txt", tmp_path
+    for kind, name in (("five-term", "penta"), ("three-term", "three")):
+        values[name].write_text(json.dumps(
+            {"kind": kind, **{w: {"constant": "1"} for w in SCHEME_NAMES[kind]}}))
+    values["triangle"].write_text("# arity=1 n_max=1\n1\n1 1\n")
+    (tmp_path / "A027907.txt").write_text(
+        "".join(f"{i} {v}\n" for i, v in enumerate(bisnomial_row(0, 2) + bisnomial_row(1, 2))))
+    code, _, _ = run(capsys, *(arg.format(**values) for arg in argv))
+    assert code in (0, 1)
+    code, report, err = run(capsys, *(arg.format(**values) for arg in argv + flag))
+    assert code == 2
+    assert report is None
+    assert err == line + "\n"
+
+
 NUMBERS = ("0", "1", "-1", "3", "2/3", "-1/2", "1/0", "0/0", "x", "1.5", "", "1e3", "nan")
 numbers = st.one_of(st.sampled_from(NUMBERS), st.text(max_size=3))
 small_ints = st.sampled_from(("-2", "-1", "0", "1", "2", "3", "x", ""))

@@ -1,10 +1,8 @@
 """Triangle generators, presets, generalized binomial rows, matrix identities."""
 
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +14,7 @@ from helpers import (
     schoolbook_five_term,
     schoolbook_recurrence_matrix,
     schoolbook_three_term,
+    src_env,
 )
 from tripos import oracles
 from tripos.algebra import QPoly, mat_mul
@@ -90,9 +89,9 @@ class TestBisnomial:
                 assert sum(t.rows[n]) == (s + 1) ** n
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="s must be a positive integer"):
             bisnomial_row(2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
             bisnomial_row(-1, 2)
 
 
@@ -210,26 +209,51 @@ class TestPresets:
         with pytest.raises(UnknownPresetError, match="preset pascal takes no s"):
             build_preset("pascal", 3, s=2)
 
-    def test_wrong_triangle_raises_under_optimize(self):
+    @staticmethod
+    def _raised_under_optimize(setup: str, name: str, **kwargs) -> str:
         # Validation must not rest on assert, which python -O strips.
         script = (
             "import dataclasses\n"
             "from tripos import triangles\n"
             "from tripos.errors import OracleMismatchError\n"
-            "p = triangles.PRESETS['motzkin']\n"
-            "triangles.PRESETS['motzkin'] = dataclasses.replace(\n"
-            "    p, const_params=triangles.ConstParams(1, 1, 0, 1, 1, 2, 0))\n"
+            f"{setup}"
             "try:\n"
-            "    triangles.build_preset('motzkin', 6)\n"
+            f"    triangles.build_preset({name!r}, 6, **{kwargs!r})\n"
             "except OracleMismatchError as exc:\n"
             "    print('raised:', exc)\n"
         )
-        src = str(Path(oracles.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env(),
                              capture_output=True, text=True, check=True)
-        assert out.stdout.startswith("raised: motzkin column-0 mismatch")
+        return out.stdout
+
+    def test_wrong_triangle_raises_under_optimize(self):
+        out = self._raised_under_optimize(
+            "p = triangles.PRESETS['motzkin']\n"
+            "triangles.PRESETS['motzkin'] = dataclasses.replace(\n"
+            "    p, const_params=triangles.ConstParams(1, 1, 0, 1, 1, 2, 0))\n",
+            "motzkin")
+        assert out.startswith("raised: motzkin column-0 mismatch")
+
+    def test_wrong_rows_raise_under_optimize(self):
+        # f = 2 keeps column 0 at 1, so only the whole-row comparison sees it
+        out = self._raised_under_optimize(
+            "p = triangles.PRESETS['pascal']\n"
+            "triangles.PRESETS['pascal'] = dataclasses.replace(\n"
+            "    p, const_params=triangles.ConstParams(1, 1, 0, 1, 2, 0, 0))\n",
+            "pascal")
+        assert out.startswith("raised: pascal rows mismatch")
+
+    def test_asymmetric_s_pascal_raises_under_optimize(self):
+        # row 1 becomes (1, 1, 2): column 0 still holds 1, the row is not symmetric
+        out = self._raised_under_optimize(
+            "generate = triangles.from_bisnomial\n"
+            "def skewed(s, n_max):\n"
+            "    rows = list(generate(s, n_max).rows)\n"
+            "    rows[1] = rows[1][:-1] + (2,)\n"
+            "    return triangles.Triangle(tuple(rows), s)\n"
+            "triangles.from_bisnomial = skewed\n",
+            "s_pascal", s=2)
+        assert out == "raised: s_pascal rows not symmetric\n"
 
     def test_unknown_preset(self):
         with pytest.raises(UnknownPresetError):
