@@ -26,8 +26,9 @@ import sys
 import time
 
 from tripos.algebra import mat_mul
-from tripos.cli import _nonnegative_int
+from tripos.cli import _nonnegative_int, _write
 from tripos.conditions import q_log_convexity_conditions, verify_tail_recurrence
+from tripos.errors import FileFormatError
 from tripos.properties import TRIANGLE_CHECKS, PolySeq, is_tp_r
 from tripos.transforms import check_preservation
 from tripos.triangles import (
@@ -92,10 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.json:
         try:
-            with open(args.json, "w") as fh:
-                json.dump(results, fh, indent=2, sort_keys=True)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
+            _write(args.json, json.dumps(results, indent=2, sort_keys=True))
+        except FileFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"wrote {args.json}")
     if failures:

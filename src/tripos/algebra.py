@@ -136,8 +136,7 @@ class QPoly:
             return QPoly(out)
         return QPoly([other * c for c in self.coeffs])
 
-    def __rmul__(self, scalar) -> "QPoly":
-        return QPoly([scalar * c for c in self.coeffs])
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a triangle and write it to a file")
     src = gen.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=PRESET_NAMES)
-    src.add_argument("--params", metavar="a,b,g,e,f,g,h",
+    src.add_argument("--params", metavar="alpha,beta,gamma,e,f,g,h",
                      help="constant five-term weights alpha,beta,gamma,e,f,g,h")
     src.add_argument("--scheme-file", metavar="PATH", help="JSON coefficient scheme file")
     gen.add_argument("--s", type=_positive_int, default=None, help="s for the s_pascal preset")
@@ -89,14 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--arity", type=_positive_int, default=None, help="row-width slope of the ingested triangle")
     chk.add_argument("--s", type=_positive_int, default=None)
     chk.add_argument("--n", type=_nonnegative_int, default=None, help="rows to generate for a preset target")
-    chk.add_argument("--tp-order", type=_positive_int, default=2, help="minor order for the tp check")
+    chk.add_argument("--tp-order", type=_positive_int, default=None, help="minor order for the tp check (default 2)")
     chk.add_argument("--cache-dir", metavar="DIR", default=None)
-    chk.add_argument("--offline", action="store_true", help="never touch the network")
+    chk.add_argument("--offline", action="store_true", default=None, help="never touch the network")
     chk.add_argument("checks", nargs="+", choices=CHECK_NAMES)
 
     cond = sub.add_parser("conditions", help="evaluate a sufficient-condition list")
     cond.add_argument("theorem", choices=("thm21", "cor22", "thm34"))
-    cond.add_argument("--params", metavar="a,b,g,e,f,g,h",
+    cond.add_argument("--params", metavar="alpha,beta,gamma,e,f,g,h",
                       help="constant weights (cor22 / thm34)")
     cond.add_argument("--schemes", metavar="PATH", help="JSON scheme file (thm21)")
     cond.add_argument("--k-max", type=_int_at_least(2, "an integer >= 2"), default=None,
@@ -138,9 +138,7 @@ def parse_const_params(text: str) -> ConstParams:
 def load_scheme_file(path: str) -> dict:
     """``{"kind": kind, name: scheme, ...}`` of a three- or five-term scheme file."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"cannot read scheme file: {exc}") from exc
+        data = json.loads(_read(path, "scheme file"))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"scheme file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -157,12 +155,8 @@ def load_scheme_file(path: str) -> dict:
 
 
 def load_poly_file(path: str) -> PolySeq:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"cannot read polynomial file: {exc}") from exc
     polys = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read(path, "polynomial file").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -175,11 +169,15 @@ def load_poly_file(path: str) -> PolySeq:
 
 
 def load_triangle_file(path: str) -> Triangle:
+    return Triangle.parse(_read(path, "triangle file"))
+
+
+def _read(path: str, what: str) -> str:
+    """Read an input file; an unreadable or non-UTF-8 one is an input error (exit 2)."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"cannot read triangle file: {exc}") from exc
-    return Triangle.parse(text)
+        raise FileFormatError(f"cannot read {what}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -222,15 +220,18 @@ def _cmd_generate(args) -> tuple[dict, list[dict], int]:
 
 
 def _cmd_check(args) -> tuple[dict, list[dict], int]:
+    if "tp" not in args.checks:
+        _refuse_unread(args, "a check without tp", "--tp-order")
+    tp_order = 2 if args.tp_order is None else args.tp_order
     if args.file:
-        _refuse_unread(args, "--file", "--s", "--n", "--arity")
+        _refuse_unread(args, "--file", "--s", "--n", "--arity", "--cache-dir", "--offline")
         t = load_triangle_file(args.file)
         target = {"file": args.file}
     elif args.oeis:
         _refuse_unread(args, "--oeis", "--s", "--n")
         if args.arity is None:
             raise FileFormatError("--oeis needs --arity to reshape the b-file")
-        b = fetch_bfile(args.oeis, cache_dir=args.cache_dir, offline=args.offline)
+        b = fetch_bfile(args.oeis, cache_dir=args.cache_dir, offline=bool(args.offline))
         trimmed = trim_to_rows(b, args.arity)
         t = reshape(trimmed, args.arity)
         target = {"oeis": args.oeis, "arity": args.arity,
@@ -238,13 +239,13 @@ def _cmd_check(args) -> tuple[dict, list[dict], int]:
                   "entries_fetched": len(b.entries),
                   "cache_dir": str(resolve_cache_dir(args.cache_dir))}
     else:
-        _refuse_unread(args, "--preset", "--arity")
+        _refuse_unread(args, "--preset", "--arity", "--cache-dir", "--offline")
         if args.n is None:
             raise FileFormatError("--preset needs --n (rows to generate)")
         t = build_preset(args.preset, args.n, s=args.s)
         target = {"preset": args.preset, "s": args.s, "n_max": args.n}
-    reports = [TRIANGLE_CHECKS[check](t, args.tp_order) for check in args.checks]
-    inputs = {**target, "checks": list(args.checks), "tp_order": args.tp_order}
+    reports = [TRIANGLE_CHECKS[check](t, tp_order) for check in args.checks]
+    inputs = {**target, "checks": list(args.checks), "tp_order": tp_order}
     return inputs, [r.to_dict() for r in reports], _verdict_code(reports)
 
 

@@ -12,6 +12,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .errors import BFileError, CacheMissError, ContiguityError, FetchError, ReshapeError
@@ -20,6 +21,7 @@ from .triangles import Triangle
 _ID_RE = re.compile(r"^A\d{6}$")
 CACHE_ENV_VAR = "TRIPOS_OEIS_CACHE"
 OEIS_HOST = "https://oeis.org"
+FETCH_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -77,16 +79,16 @@ def fetch_bfile(
     oid: str,
     cache_dir: str | os.PathLike | None = None,
     offline: bool = False,
-    timeout: float = 30.0,
 ) -> BFile:
     """Return the b-file for an id, from cache if warm, otherwise over HTTPS.
 
     Offline mode never touches the network: a cache miss is an explicit
-    error.  A download that fails or is cut short raises ``FetchError`` and
-    caches nothing.  Downloads are stored verbatim before parsing,
-    atomically, so a concurrent fetch of the same id cannot leave a torn file
-    behind.  A cached file or download that cannot be read as text, or a
-    cache that cannot be written, raises ``BFileError``.
+    error.  A download that fails, waits more than ``FETCH_TIMEOUT_S``
+    seconds for the server or is cut short raises ``FetchError`` and caches
+    nothing.  Downloads are stored verbatim before parsing, atomically, so
+    a concurrent fetch of the same id cannot leave a torn file behind.  A
+    cached file or download that cannot be read as text, or a cache that
+    cannot be written, raises ``BFileError``.
     """
     if not _ID_RE.match(oid):
         raise BFileError(f"not a valid OEIS id: {oid!r} (expected A followed by 6 digits)")
@@ -108,7 +110,7 @@ def fetch_bfile(
 
     url = bfile_url(oid)
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as resp:
             data = resp.read()
     except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
         raise FetchError(f"could not retrieve {url}: {exc}") from exc
@@ -133,25 +135,28 @@ def fetch_bfile(
     return parsed
 
 
-def reshape(b: BFile, arity: int) -> Triangle:
-    """Cut a row-by-row flattened triangle back into rows of width arity*n + 1."""
+def _whole_rows(total: int, arity: int) -> tuple[int, int]:
+    """Count the whole rows of width arity*n + 1 in ``total`` entries and the entries they use."""
     if arity < 1:
         raise ReshapeError("arity must be a positive integer")
+    rows = used = 0
+    while used + arity * rows + 1 <= total:
+        used += arity * rows + 1
+        rows += 1
+    return rows, used
+
+
+def reshape(b: BFile, arity: int) -> Triangle:
+    """Cut a row-by-row flattened triangle back into rows of width arity*n + 1."""
     values = b.values
-    rows = []
-    pos = 0
-    n = 0
-    while pos < len(values):
-        width = arity * n + 1
-        if pos + width > len(values):
-            raise ReshapeError(
-                f"{len(values)} values do not fill whole rows of arity {arity}: "
-                f"{len(values) - pos} left over after {n} complete rows"
-            )
-        rows.append(tuple(values[pos:pos + width]))
-        pos += width
-        n += 1
-    return Triangle(tuple(rows), arity)
+    rows, used = _whole_rows(len(values), arity)
+    if used < len(values):
+        raise ReshapeError(
+            f"{len(values)} values do not fill whole rows of arity {arity}: "
+            f"{len(values) - used} left over after {rows} complete rows"
+        )
+    it = iter(values)
+    return Triangle(tuple(tuple(islice(it, arity * n + 1)) for n in range(rows)), arity)
 
 
 def trim_to_rows(b: BFile, arity: int) -> BFile:
@@ -160,14 +165,7 @@ def trim_to_rows(b: BFile, arity: int) -> BFile:
     Published b-files usually stop mid-row; the fully available rows are
     still checkable, so ingestion trims to the largest whole-row prefix.
     """
-    if arity < 1:
-        raise ReshapeError("arity must be a positive integer")
-    total = len(b.entries)
-    keep = 0
-    n = 0
-    while keep + arity * n + 1 <= total:
-        keep += arity * n + 1
-        n += 1
-    if keep == 0:
+    _, used = _whole_rows(len(b.entries), arity)
+    if used == 0:
         raise ReshapeError("not even one complete row of data")
-    return BFile(b.id, b.entries[:keep])
+    return BFile(b.id, b.entries[:used])

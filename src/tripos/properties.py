@@ -441,10 +441,9 @@ def is_q_tp2(matrix: Sequence[Sequence[QPoly]]) -> PropertyReport:
     nrows, ncols = _shape(matrix)
     for rows in combinations(range(nrows), 2):
         for cols in combinations(range(ncols), 2):
-            i1, i2 = rows
-            j1, j2 = cols
-            minor = matrix[i1][j1] * matrix[i2][j2] - matrix[i1][j2] * matrix[i2][j1]
-            verdict = poly_geq_q(minor, QPoly.ZERO)
+            (i1, i2), (j1, j2) = rows, cols
+            verdict = poly_geq_q(matrix[i1][j1] * matrix[i2][j2],
+                                 matrix[i1][j2] * matrix[i2][j1])
             if not verdict:
                 return PropertyReport(
                     "q-totally-positive-2", (1, 2), FAILS,

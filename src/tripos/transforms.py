@@ -4,7 +4,9 @@ The central transform maps a polynomial sequence (f_k) to
 ``B_n = sum_k binom(n, k)_s f_k`` using the generalized binomial
 coefficients, read from one pass of :func:`tripos.triangles.from_bisnomial`;
 for s = 1 this is the classical binomial transform.  The sliding window sum
-is the elementary building block behind it.
+W with the same s gives it too: B_n = (W^n f)_0, as the x^k coefficient of
+(1 + x + ... + x^s)^n is binom(n, k)_s; ``test_iterated_window_sum_is_transform``
+in ``tests/test_transforms.py`` checks this.
 
 ``transform_minor_form`` expands the adjacent-product difference
 ``B_{n-1} B_{m+1} - B_n B_m`` symbolically over the inputs, as an integer
@@ -119,8 +121,7 @@ def transform_minor_form(n: int, m: int, s: int) -> BilinearForm:
     def accumulate(row_a: tuple[int, ...], row_b: tuple[int, ...], sign: int) -> None:
         for i, ca in enumerate(row_a):
             for j, cb in enumerate(row_b):
-                key = (i, j) if i <= j else (j, i)
-                mapping[key] = mapping.get(key, 0) + sign * ca * cb
+                mapping[i, j] = mapping.get((i, j), 0) + sign * ca * cb
 
     rows = from_bisnomial(s, m + 1).rows
     accumulate(rows[n - 1], rows[m + 1], +1)

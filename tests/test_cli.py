@@ -123,6 +123,17 @@ class TestCheck:
         assert code == 0
         assert [r["verdict"] for r in report["reports"]] == ["holds"] * 3
 
+    @pytest.mark.parametrize("checks, order", [
+        (["rows-log-concave"], 2), (["tp"], 2), (["tp", "--tp-order", "3"], 3)])
+    def test_tp_order_echoed(self, capsys, checks, order):
+        # The report echoes the tp order: 2 when --tp-order is not given,
+        # whether or not tp is among the checks.
+        code, report, _ = run(capsys, "check", "--preset", "pascal", "--n", "4", *checks)
+        assert code == 0
+        assert report["inputs"]["tp_order"] == order
+        if "tp" in checks:
+            assert report["reports"][0]["checked"] == {"from": 1, "to": order}
+
     def test_failing_file_exit1(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# arity=1 n_max=2\n1\n1 1\n1 1 2\n")
@@ -536,7 +547,7 @@ PRESET = ["check", "--preset", "pascal", "--n", "3", "rows-log-concave"]
 PARAMS = ["generate", "--params", "1,1,0,1,2,1,0", "--n", "3"]
 SCHEME_FILE = ["generate", "--scheme-file", "{three}", "--n", "3"]
 
-# (argv that runs, a flag its theorem or source does not read, the error line)
+# (argv that runs, a flag its theorem, source or checks do not read, the error line)
 UNREAD_FLAGS = {
     "thm21-params": (THM21, ["--params", "1,1,1,1,1,1,1"], "error: thm21 takes no --params"),
     "thm21-tail-recurrence": (THM21, ["--tail-recurrence", "5"],
@@ -548,9 +559,15 @@ UNREAD_FLAGS = {
     "file-s": (FILE, ["--s", "2"], "error: --file takes no --s"),
     "file-n": (FILE, ["--n", "9"], "error: --file takes no --n"),
     "file-arity": (FILE, ["--arity", "3"], "error: --file takes no --arity"),
+    "file-cache-dir": (FILE, ["--cache-dir", "{dir}"], "error: --file takes no --cache-dir"),
+    "file-offline": (FILE, ["--offline"], "error: --file takes no --offline"),
+    "file-tp-order": (FILE, ["--tp-order", "4"], "error: a check without tp takes no --tp-order"),
     "oeis-s": (OEIS, ["--s", "2"], "error: --oeis takes no --s"),
     "oeis-n": (OEIS, ["--n", "3"], "error: --oeis takes no --n"),
     "preset-arity": (PRESET, ["--arity", "1"], "error: --preset takes no --arity"),
+    "preset-cache-dir": (PRESET, ["--cache-dir", "{dir}"], "error: --preset takes no --cache-dir"),
+    "preset-offline": (PRESET, ["--offline"], "error: --preset takes no --offline"),
+    "oeis-tp-order": (OEIS, ["--tp-order", "2"], "error: a check without tp takes no --tp-order"),
     "params-s": (PARAMS, ["--s", "3"], "error: --params takes no --s"),
     "scheme-file-s": (SCHEME_FILE, ["--s", "3"], "error: --scheme-file takes no --s"),
 }

@@ -16,6 +16,7 @@ from tripos.errors import (
     ReshapeError,
 )
 from tripos.oeis import (
+    FETCH_TIMEOUT_S,
     bfile_url,
     fetch_bfile,
     parse_bfile,
@@ -87,6 +88,25 @@ class TestReshape:
         t = reshape(trimmed, 2)
         assert [len(r) for r in t.rows] == [1, 3]
 
+    def test_trim_keeps_exactly_what_reshape_accepts(self):
+        for arity in (1, 2, 3):
+            for total in range(1, 40):
+                b = parse_bfile("".join(f"{i} {i}\n" for i in range(total)))
+                trimmed = trim_to_rows(b, arity)
+                t = reshape(trimmed, arity)
+                rows = len(t.rows)
+                assert [len(r) for r in t.rows] == [arity * n + 1 for n in range(rows)]
+                assert [v for r in t.rows for v in r] == b.values[:len(trimmed.entries)]
+                left = total - len(trimmed.entries)
+                assert left < arity * rows + 1  # the next row would not fit
+                if left:
+                    message = (f"^{total} values do not fill whole rows of arity {arity}: "
+                               f"{left} left over after {rows} complete rows$")
+                    with pytest.raises(ReshapeError, match=message):
+                        reshape(b, arity)
+                else:
+                    assert reshape(b, arity) == t
+
     def test_roundtrip_preserves_values(self):
         from tripos.triangles import Triangle
 
@@ -125,6 +145,17 @@ class TestFetch:
         b2 = fetch_bfile("A027907", cache_dir=tmp_path)
         assert calls == [bfile_url("A027907")]
         assert b2 == b
+
+    def test_download_waits_fetch_timeout(self, tmp_path, monkeypatch):
+        timeouts = []
+
+        def urlopen(url, timeout):
+            timeouts.append(timeout)
+            return fake_urlopen(b"0 1\n")(url, timeout)
+
+        monkeypatch.setattr(URLOPEN, urlopen)
+        fetch_bfile("A000001", cache_dir=tmp_path)
+        assert timeouts == [FETCH_TIMEOUT_S]
 
     def test_network_failure_surfaces(self, tmp_path, monkeypatch):
         def fail(url, timeout):

@@ -1,6 +1,7 @@
 """Generalized binomial transform, window sums, and symbolic minor forms."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from tripos.transforms import (
     transform_minor_form,
     window_sum,
 )
+from tripos.triangles import build_preset, row_polys
 
 def constant_family(count):
     return PolySeq(tuple(QPoly([1]) for _ in range(count)))
@@ -87,6 +89,26 @@ class TestWindowSum:
     def test_too_short(self):
         with pytest.raises(SequenceRangeError):
             window_sum(constant_family(2), 2)
+
+    @pytest.mark.parametrize("s", (1, 2, 3))
+    def test_iterated_window_sum_is_transform(self, s):
+        # B_n = (W^n f)_0 for the window sum W with the same s: n window sums
+        # weight f_k by the x^k coefficient of (1 + x + ... + x^s)^n, which
+        # is binom(n, k)_s.  Values and coefficient types both agree.
+        def typed(p):
+            return [(type(c), c) for c in p.coeffs]
+
+        n_max = 5
+        for name in ("pascal", "motzkin", "bell"):
+            ints = row_polys(build_preset(name, s * n_max))
+            fracs = [QPoly(Fraction(c, k + 2) for c in p.coeffs) for k, p in enumerate(ints)]
+            mixed = [f if k % 2 else p for k, (p, f) in enumerate(zip(ints, fracs))]
+            for family in (ints, fracs, mixed):
+                ps = PolySeq(tuple(family))
+                for n, b_n in enumerate(bisnomial_transform(ps, s, n_max).polys):
+                    assert typed(ps.polys[0]) == typed(b_n), (name, n)
+                    if n < n_max:
+                        ps = window_sum(ps, s)
 
     def test_preserves_strong_q_log_convexity(self, preset_rowgens):
         for name, ps in preset_rowgens.items():
