@@ -3,8 +3,12 @@
 Machine-readable JSON goes to stdout (deterministic key order; the timing
 field is the only part that varies between identical runs); a short human
 summary goes to stderr.  Exit status: 0 all properties hold, 1 at least one
-property fails, 2 usage, input or output error (a closed stdout included),
-3 a precondition gate made the run inapplicable.
+property fails, 2 usage, input or output error (a closed stdout and an
+input too large for memory included), 3 a precondition gate made the run
+inapplicable.
+
+``conditions``, ``transforms`` and ``oeis`` are imported inside the handlers
+that use them, so ``generate`` and ``check --file|--preset`` never load them.
 """
 
 from __future__ import annotations
@@ -18,16 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import QPoly, parse_exact
-from .conditions import (
-    log_concavity_conditions,
-    log_concavity_conditions_const,
-    q_log_convexity_conditions,
-    verify_tail_recurrence,
-)
 from .errors import DigitLimitError, FileFormatError, TriposError
-from .oeis import fetch_bfile, reshape, resolve_cache_dir, trim_to_rows
 from .properties import FAILS, INAPPLICABLE, TRIANGLE_CHECKS, PolySeq
-from .transforms import check_preservation
 from .triangles import (
     PRESET_NAMES,
     SCHEME_NAMES,
@@ -228,6 +224,8 @@ def _cmd_check(args) -> tuple[dict, list[dict], int]:
         t = load_triangle_file(args.file)
         target = {"file": args.file}
     elif args.oeis:
+        from .oeis import fetch_bfile, reshape, resolve_cache_dir, trim_to_rows
+
         _refuse_unread(args, "--oeis", "--s", "--n")
         if args.arity is None:
             raise FileFormatError("--oeis needs --arity to reshape the b-file")
@@ -250,6 +248,13 @@ def _cmd_check(args) -> tuple[dict, list[dict], int]:
 
 
 def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
+    from .conditions import (
+        log_concavity_conditions,
+        log_concavity_conditions_const,
+        q_log_convexity_conditions,
+        verify_tail_recurrence,
+    )
+
     identity = None
     if args.theorem == "thm21":
         _refuse_unread(args, "thm21", "--params", "--tail-recurrence")
@@ -283,6 +288,8 @@ def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
 
 
 def _cmd_transform(args) -> tuple[dict, list[dict], int]:
+    from .transforms import check_preservation
+
     ps = load_poly_file(args.polys)
     n_max = args.n_max
     if n_max is None:
@@ -349,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             _write(args.json, text + "\n")
     except TriposError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
     try:
         print(text)

@@ -477,6 +477,19 @@ def test_exponent_past_digit_limit_exit2(capsys, tmp_path, argv, content):
     assert f"past the {sys.get_int_max_str_digits()}-digit limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--preset", "pascal", "--n", "99999999999999", "--out", "/dev/null"],
+    ["check", "--preset", "motzkin", "--n", "99999999999", "rows-log-concave"],
+], ids=["generate", "check"])
+def test_out_of_memory_exit2(capsys, argv):
+    # Both sizes fail at the first row allocation (hundreds of GB), before any
+    # memory is touched; a size that allocates slowly has no place here.
+    code, report, err = run(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err == "error: out of memory; the input is too large\n"
+
+
 class TestArgumentBounds:
     def test_k_max_below_two_exit2(self, capsys, tmp_path):
         # The thm21 conditions range over 2 <= k <= k_max: f = 3 breaks them

@@ -268,6 +268,39 @@ def test_http_stack_loads_only_for_a_download(tmp_path):
     assert out.stdout == "[0, 2] []\n"
 
 
+def test_cli_loads_each_half_of_the_paper_on_first_use(tmp_path):
+    # The condition lists, the transform and b-file ingestion are imported
+    # only by the verbs that use them, so a check of a preset never pays for
+    # them; each is loaded by its first run.
+    (tmp_path / "polys.txt").write_text("1\n1 1\n1 2 1\n1 3 3 1\n")
+    script = (
+        "import contextlib, io, sys\n"
+        "import tripos.cli\n"
+        "def loaded(stage):\n"
+        "    lazy = ('tripos.conditions', 'tripos.transforms', 'tripos.oeis')\n"
+        "    print(stage, [m for m in lazy if m in sys.modules])\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        return tripos.cli.main(list(argv))\n"
+        "tripos.cli.build_parser()\n"
+        "loaded('import')\n"
+        "loaded(run('check', '--preset', 'motzkin', '--n', '6', 'rows-log-concave'))\n"
+        "loaded(run('generate', '--preset', 'pascal', '--n', '4'))\n"
+        "loaded(run('conditions', 'cor22', '--params', '1,1,1,1,1,0,0'))\n"
+        "loaded(run('transform', sys.argv[1], '--s', '1', '--direction', 'convex'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "polys.txt")],
+                         env=src_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "import []",
+        "0 []",
+        "0 []",
+        "0 ['tripos.conditions']",
+        "0 ['tripos.conditions', 'tripos.transforms']",
+    ]
+
+
 class TestCacheDirResolution:
     def test_explicit_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIPOS_OEIS_CACHE", "/somewhere/else")
