@@ -176,7 +176,6 @@ class QPoly:
 
 QPoly.ZERO = QPoly()
 QPoly.ONE = QPoly([1])
-QPoly.Q = QPoly([0, 1])
 
 
 @dataclass(frozen=True)

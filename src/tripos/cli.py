@@ -26,18 +26,15 @@ from .errors import DigitLimitError, FileFormatError, TriposError
 from .properties import FAILS, INAPPLICABLE, TRIANGLE_CHECKS, PolySeq
 from .triangles import (
     PRESET_NAMES,
-    SCHEME_NAMES,
+    SCHEME_KINDS,
     CoeffScheme,
     ConstParams,
     Triangle,
     build_preset,
     from_const_params,
-    from_five_term,
-    from_three_term,
 )
 
 CHECK_NAMES = tuple(TRIANGLE_CHECKS)
-_GENERATORS = {"three-term": from_three_term, "five-term": from_five_term}
 
 
 def _int_at_least(low: int, wanted: str):
@@ -140,10 +137,10 @@ def load_scheme_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise FileFormatError("scheme file must hold a JSON object")
     kind = data.get("kind")
-    if kind not in tuple(SCHEME_NAMES):
+    if kind not in tuple(SCHEME_KINDS):
         raise FileFormatError("scheme file needs \"kind\": \"three-term\" or \"five-term\"")
     schemes = {}
-    for name in SCHEME_NAMES[kind]:
+    for name in SCHEME_KINDS[kind][1]:
         if name not in data:
             raise FileFormatError(f"scheme file is missing the {name!r} scheme")
         schemes[name] = CoeffScheme.from_dict(data[name])
@@ -205,7 +202,7 @@ def _cmd_generate(args) -> tuple[dict, list[dict], int]:
     else:
         _refuse_unread(args, "--scheme-file", "--s")
         schemes = load_scheme_file(args.scheme_file)
-        t = _GENERATORS[schemes.pop("kind")](**schemes, n_max=args.n)
+        t = SCHEME_KINDS[schemes.pop("kind")][0](**schemes, n_max=args.n)
         source = {"scheme_file": args.scheme_file}
     serialized = t.serialize()
     if args.out:
@@ -324,7 +321,7 @@ def _summarize(reports: list[dict]) -> list[str]:
     lines = []
     for r in reports:
         if "verdict" in r:
-            lines.append(f"{r.get('property', r.get('tag', 'report'))}: {r['verdict']}")
+            lines.append(f"{r['property']}: {r['verdict']}")
         elif "established" in r:
             state = "established" if r["established"] else "not established"
             lines.append(f"conditions {r['tag']}: {state}")

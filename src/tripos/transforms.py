@@ -71,10 +71,8 @@ class BilinearForm:
 def bisnomial_transform(ps: PolySeq, s: int, n_max: int) -> PolySeq:
     """B_n = sum_{k=0}^{s n} binom(n, k)_s f_k for n = 0..n_max.
 
-    An n_max below 0, which would leave no output, raises ``ValueError``.
+    An n_max below 0, which would leave no output, or an s below 1 raises ``ValueError``.
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     needed = s * n_max + 1
@@ -117,15 +115,11 @@ def transform_minor_form(n: int, m: int, s: int) -> BilinearForm:
     if not 1 <= n <= m:
         raise ValueError("need 1 <= n <= m")
     mapping: dict[tuple[int, int], int] = {}
-
-    def accumulate(row_a: tuple[int, ...], row_b: tuple[int, ...], sign: int) -> None:
+    rows = from_bisnomial(s, m + 1).rows
+    for row_a, row_b, sign in ((rows[n - 1], rows[m + 1], 1), (rows[n], rows[m], -1)):
         for i, ca in enumerate(row_a):
             for j, cb in enumerate(row_b):
                 mapping[i, j] = mapping.get((i, j), 0) + sign * ca * cb
-
-    rows = from_bisnomial(s, m + 1).rows
-    accumulate(rows[n - 1], rows[m + 1], +1)
-    accumulate(rows[n], rows[m], -1)
     return BilinearForm.from_map(mapping)
 
 

@@ -60,6 +60,8 @@ class Triangle:
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
         if self.arity < 1:
             raise FileFormatError(f"arity must be >= 1, got {self.arity}")
+        if not self.rows:
+            raise FileFormatError("a triangle needs row 0, so n_max must be >= 0")
         for n, row in enumerate(self.rows):
             if len(row) != self.arity * n + 1:
                 raise FileFormatError(
@@ -114,32 +116,30 @@ class Triangle:
 
 @dataclass(frozen=True)
 class CoeffScheme:
-    """Per-index coefficient provider: a constant, an affine map of k, or a table."""
+    """Per-index coefficient provider: the affine map k -> slope*k + intercept,
+    or, when ``values`` is not None, the table of values at k = start, start+1, ...
+    A constant c is the affine map of slope 0; 0*k + c has the value and type of c."""
 
-    kind: str
-    const: ExactRat = 0
     slope: ExactRat = 0
     intercept: ExactRat = 0
-    values: tuple[ExactRat, ...] = ()
+    values: tuple[ExactRat, ...] | None = None
     start: int = 0
 
     @classmethod
     def constant(cls, c: ExactRat) -> "CoeffScheme":
-        return cls("constant", const=c)
+        return cls.affine(0, c)
 
     @classmethod
     def affine(cls, slope: ExactRat, intercept: ExactRat) -> "CoeffScheme":
         """k -> slope*k + intercept."""
-        return cls("affine", slope=slope, intercept=intercept)
+        return cls(slope, intercept)
 
     @classmethod
     def table(cls, values: Sequence[ExactRat], start: int = 0) -> "CoeffScheme":
-        return cls("table", values=tuple(values), start=start)
+        return cls(values=tuple(values), start=start)
 
     def at(self, k: int) -> ExactRat:
-        if self.kind == "constant":
-            return self.const
-        if self.kind == "affine":
+        if self.values is None:
             return self.slope * k + self.intercept
         i = k - self.start
         if not 0 <= i < len(self.values):
@@ -149,16 +149,9 @@ class CoeffScheme:
             )
         return self.values[i]
 
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"constant": format_exact(self.const)}
-        if self.kind == "affine":
-            return {"affine": [format_exact(self.slope), format_exact(self.intercept)]}
-        return {"table": [format_exact(v) for v in self.values], "start": self.start}
-
     @classmethod
     def from_dict(cls, d: dict) -> "CoeffScheme":
-        """Inverse of :meth:`to_dict`; a malformed scheme raises ``FileFormatError``."""
+        """The scheme of one scheme-file object; a malformed one raises ``FileFormatError``."""
         if not isinstance(d, dict):
             raise FileFormatError(f"coefficient scheme must be a JSON object, got {d!r}")
         if "constant" in d:
@@ -219,7 +212,6 @@ class ConstParams:
 # Band offset d of each named five-term weight: w_d(k) multiplies T[n-1][k-d].
 # The three-term recurrence is the band of e = 1, f and g.
 FIVE_TERM_OFFSETS = {"gamma": 2, "e": 1, "f": 0, "g": -1, "h": -2}
-SCHEME_NAMES = {"three-term": ("f", "g"), "five-term": tuple(FIVE_TERM_OFFSETS)}
 
 _Band = dict[int, CoeffScheme]  # offset d -> scheme of the weight w_d
 _Heads = dict[tuple[int, int], ExactRat]  # (d, k) -> value that replaces w_d(k)
@@ -302,6 +294,11 @@ def from_five_term(
     return _banded(_named_band(f=f, g=g, h=h, e=e, gamma=gamma), {}, 2, n_max)
 
 
+# scheme-file kind -> (generator, the weights it takes by name)
+SCHEME_KINDS = {"three-term": (from_three_term, ("f", "g")),
+                "five-term": (from_five_term, tuple(FIVE_TERM_OFFSETS))}
+
+
 def from_const_params(p: ConstParams, n_max: int) -> Triangle:
     """Constant-coefficient five-term array with alpha/beta head rows (arity 2)."""
     return _banded(*_const_band(p), 2, n_max)
@@ -337,9 +334,7 @@ def bisnomial(n: int, k: int, s: int) -> int:
 
 def row_poly(t: Triangle, n: int) -> QPoly:
     """Generating function of row n: sum_k t[n][k] q^k."""
-    if not 0 <= n <= t.n_max:
-        raise SequenceRangeError(f"row {n} not generated (n_max={t.n_max})")
-    return QPoly(t.rows[n])
+    return row_tail_poly(t, n, 0)
 
 
 def row_polys(t: Triangle) -> list[QPoly]:

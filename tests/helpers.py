@@ -27,7 +27,7 @@ from tripos.properties import (
     is_q_tp2,
     is_tp_r,
 )
-from tripos.triangles import CoeffScheme, ConstParams, row_poly, row_tail_poly
+from tripos.triangles import CoeffScheme, ConstParams, row_tail_poly
 
 
 def naive_det(m):
@@ -313,8 +313,8 @@ def naive_tail_recurrence(t, p, n_max):
         )
 
     for n in range(1, n_max + 1):
-        if row_tail_poly(t, n, 0) != row_poly(t, n):
-            return witness(n, 0, row_tail_poly(t, n, 0), row_poly(t, n))
+        if row_tail_poly(t, n, 0) != QPoly(t.rows[n]):
+            return witness(n, 0, row_tail_poly(t, n, 0), QPoly(t.rows[n]))
         lhs = row_tail_poly(t, n, 0).shift(2)
         rhs = (
             head_weight * row_tail_poly(t, n - 1, 0).shift(2)

@@ -222,6 +222,14 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--file", str(path), "rows-log-concave")
         assert code == 2
 
+    @pytest.mark.parametrize("check", CHECK_NAMES)
+    def test_triangle_without_rows_exit2(self, capsys, tmp_path, check):
+        path = tmp_path / "empty.txt"
+        path.write_text("# arity=1 n_max=-1\n")
+        code, report, err = run(capsys, "check", "--file", str(path), check)
+        assert code == 2 and report is None
+        assert err.splitlines() == ["error: a triangle needs row 0, so n_max must be >= 0"]
+
 
 class TestConditions:
     def test_thm34_motzkin(self, capsys):

@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,9 @@ class TestTailRecurrence:
         assert report.to_dict()["witness"] == {"n": 3, "k": 0, "difference": "0 0 0 0 1"}
 
 
+# The draws take strategies built once per bounds, since hypothesis validates
+# each new strategy object on its first draw.
+integers = cache(st.integers)
 weights = st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=6))
 deltas = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=7)).filter(bool)
 
@@ -239,11 +243,11 @@ def tail_cases(draw):
     """Constant weights, n_max, and their triangle, with one entry moved by a
     nonzero int or Fraction in about four draws of five."""
     p = ConstParams(*(draw(weights) for _ in range(7)))
-    n_max = draw(st.integers(1, 7))
+    n_max = draw(integers(1, 7))
     t = from_const_params(p, n_max)
-    if draw(st.integers(0, 4)):
-        n = draw(st.integers(0, n_max))
-        j = draw(st.integers(0, 2 * n))
+    if draw(integers(0, 4)):
+        n = draw(integers(0, n_max))
+        j = draw(integers(0, 2 * n))
         rows = [list(row) for row in t.rows]
         rows[n][j] += draw(deltas)
         t = Triangle(rows, 2)
@@ -309,24 +313,27 @@ const_params = st.one_of(
 )
 
 
+scheme_kinds = st.sampled_from(("constant", "affine", "table"))
+table_values = cache(lambda size: st.lists(scheme_values, min_size=size, max_size=size))
+
+
 @st.composite
 def thm21_cases(draw):
     """Five constant, affine or table schemes and k_max in 2..12; a table's
     end falls within a few indices of k_max + 1, the last index the checker
     reads, so about a third of the tables are too short."""
-    k_max = draw(st.integers(2, 12))
+    k_max = draw(integers(2, 12))
     schemes = []
     for _ in range(5):
-        kind = draw(st.sampled_from(("constant", "affine", "table")))
+        kind = draw(scheme_kinds)
         if kind == "constant":
             schemes.append(CoeffScheme.constant(draw(scheme_values)))
         elif kind == "affine":
             schemes.append(CoeffScheme.affine(draw(scheme_values), draw(scheme_values)))
         else:
-            start = draw(st.integers(0, 2))
-            size = max(0, k_max + 2 - start + draw(st.integers(-2, 3)))
-            schemes.append(CoeffScheme.table(
-                draw(st.lists(scheme_values, min_size=size, max_size=size)), start))
+            start = draw(integers(0, 2))
+            size = max(0, k_max + 2 - start + draw(integers(-2, 3)))
+            schemes.append(CoeffScheme.table(draw(table_values(size)), start))
     return schemes, k_max
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -429,6 +430,13 @@ class TestLeadingPrincipalSufficiency:
 
 # -- minor scan against the permutation-expansion reference --------------------
 
+# The draws below take strategies built once, at import or once per distinct
+# bounds through these caches, since hypothesis validates each new strategy
+# object on its first draw.
+integers = cache(st.integers)
+fixed_lists = cache(lambda elements, size: st.lists(elements, min_size=size, max_size=size))
+booleans = st.booleans()
+
 int_entries = st.integers(-4, 6)
 fraction_entries = st.fractions(min_value=-4, max_value=6, max_denominator=6)
 entry_kinds = st.sampled_from(
@@ -436,18 +444,21 @@ entry_kinds = st.sampled_from(
 )
 
 
+index_sets = cache(lambda n: st.sets(integers(0, n - 1), max_size=2))
+
+
 @st.composite
 def dense_matrices(draw, square=False):
     """Rows of int, Fraction or mixed entries, some rows and columns zeroed."""
-    nrows = draw(st.integers(1, 6))
-    ncols = nrows if square else draw(st.integers(1, 6))
+    nrows = draw(integers(1, 6))
+    ncols = nrows if square else draw(integers(1, 6))
     m = []
     for _ in range(nrows):
         entries = draw(entry_kinds)
-        m.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
-    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        m.append(draw(fixed_lists(entries, ncols)))
+    for i in draw(index_sets(nrows)):
         m[i] = [0] * ncols
-    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+    for j in draw(index_sets(ncols)):
         for row in m:
             row[j] = 0
     return m
@@ -455,17 +466,19 @@ def dense_matrices(draw, square=False):
 
 weights = st.one_of(st.integers(0, 3),
                     st.fractions(min_value=0, max_value=3, max_denominator=4))
+positive_weights = weights.filter(bool)
+zero_or_weights = st.one_of(st.just(0), weights)
 
 
 @st.composite
 def bidiagonal_products(draw, square=False):
     """A window of a product of nonnegative bidiagonal factors, which is
     totally nonnegative; raising one entry may break that."""
-    size = draw(st.integers(1, 6))
+    size = draw(integers(1, 6))
     m = [[int(i == j) for j in range(size)] for i in range(size)]
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(integers(1, 3))):
         factor = [[0] * size for _ in range(size)]
-        lower = draw(st.booleans())
+        lower = draw(booleans)
         for i in range(size):
             factor[i][i] = draw(weights)
             if i + 1 < size:
@@ -474,13 +487,13 @@ def bidiagonal_products(draw, square=False):
                 else:
                     factor[i][i + 1] = draw(weights)
         m = mat_mul(m, factor)
-    nrows = draw(st.integers(1, size))
-    ncols = nrows if square else draw(st.integers(1, size))
+    nrows = draw(integers(1, size))
+    ncols = nrows if square else draw(integers(1, size))
     m = [row[:ncols] for row in m[:nrows]]
-    if draw(st.booleans()):
-        i = draw(st.integers(0, len(m) - 1))
-        j = draw(st.integers(0, len(m[0]) - 1))
-        m[i][j] += draw(st.integers(1, 5))
+    if draw(booleans):
+        i = draw(integers(0, len(m) - 1))
+        j = draw(integers(0, len(m[0]) - 1))
+        m[i][j] += draw(integers(1, 5))
     return m
 
 
@@ -508,14 +521,16 @@ def sparse_triangular(draw):
     """Lower-triangular matrices with a positive diagonal, like the preset
     truncations, and mostly zero or small nonnegative entries below it; one
     of those is sometimes negative.  Half of them are transposed."""
-    size = draw(st.integers(1, 6))
-    below = st.one_of(st.just(0), weights)
-    m = [[draw(weights.filter(bool) if j == i else below) if j <= i else 0
+    size = draw(integers(1, 6))
+    m = [[draw(positive_weights if j == i else zero_or_weights) if j <= i else 0
           for j in range(size)] for i in range(size)]
-    if size > 1 and draw(st.booleans()):
-        i = draw(st.integers(1, size - 1))
-        m[i][draw(st.integers(0, i - 1))] = -draw(st.integers(1, 3))
-    return [list(col) for col in zip(*m)] if draw(st.booleans()) else m
+    if size > 1 and draw(booleans):
+        i = draw(integers(1, size - 1))
+        m[i][draw(integers(0, i - 1))] = -draw(integers(1, 3))
+    return [list(col) for col in zip(*m)] if draw(booleans) else m
+
+
+square_bidiagonal_products = bidiagonal_products(square=True)
 
 
 @st.composite
@@ -523,9 +538,9 @@ def singular_tn_matrices(draw):
     """A square bidiagonal product with a row replaced by zeros, or with a
     row and the last column each repeated next to themselves: singular, and
     totally nonnegative unless the product had an entry raised."""
-    m = draw(bidiagonal_products(square=True))
-    i = draw(st.integers(0, len(m) - 1))
-    if draw(st.booleans()):
+    m = draw(square_bidiagonal_products)
+    i = draw(integers(0, len(m) - 1))
+    if draw(booleans):
         m.insert(i, list(m[i]))
         m = [row + [row[-1]] for row in m]
     else:
@@ -533,7 +548,7 @@ def singular_tn_matrices(draw):
     return m
 
 
-@given(st.one_of(dense_matrices(square=True), bidiagonal_products(square=True),
+@given(st.one_of(dense_matrices(square=True), square_bidiagonal_products,
                  sparse_triangular(), singular_tn_matrices()))
 @settings(max_examples=300, deadline=None)
 def test_neville_certificate_matches_reference(m):
@@ -613,27 +628,39 @@ def poly_seqs(coeffs):
     return st.lists(st.lists(coeffs, max_size=5).map(QPoly), min_size=1, max_size=12)
 
 
+@cache
+def extreme_rows(top, length):
+    row = fixed_lists(st.sampled_from((top, -top, 0)), length)
+    return st.lists(row.map(QPoly), min_size=1, max_size=12)
+
+
 @st.composite
 def extreme_seqs(draw):
     """Coefficients of one magnitude 2^M - 1, all polynomials of one length:
     the product differences come closest to the packing bound."""
-    top = 2 ** draw(st.integers(1, 70)) - 1
-    length = draw(st.integers(1, 6))
-    row = st.lists(st.sampled_from((top, -top, 0)), min_size=length, max_size=length)
-    return draw(st.lists(row.map(QPoly), min_size=1, max_size=12))
+    top = 2 ** draw(integers(1, 70)) - 1
+    length = draw(integers(1, 6))
+    return draw(extreme_rows(top, length))
+
+
+scales = st.sampled_from((1, 3, 2**200, Fraction(1, 3)))
 
 
 @st.composite
 def perturbed_powers(draw):
     """scale * (1+q)^k holds every variant with equality; one perturbed
     coefficient gives a late witness or none."""
-    scale = draw(st.sampled_from((1, 3, 2**200, Fraction(1, 3))))
+    scale = draw(scales)
     polys = [list((scale * QPoly([1, 1]) ** k).coeffs)
-             for k in range(draw(st.integers(1, 12)))]
-    i = draw(st.integers(0, len(polys) - 1))
-    j = draw(st.integers(0, len(polys[i]) - 1))
-    polys[i][j] += draw(st.integers(-2, 2))
+             for k in range(draw(integers(1, 12)))]
+    i = draw(integers(0, len(polys) - 1))
+    j = draw(integers(0, len(polys[i]) - 1))
+    polys[i][j] += draw(integers(-2, 2))
     return [QPoly(p) for p in polys]
+
+
+ratio_denominators = st.sampled_from((1, 5, 9) + PRIMES)
+perturbations = st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1,) + PRIMES))
 
 
 @st.composite
@@ -641,12 +668,12 @@ def rational_powers(draw):
     """c^k (1+q)^k for a rational c, shaped like the rational transform inputs:
     every variant holds with equality.  One coefficient perturbed, possibly by
     a fraction with a new denominator, gives a late witness or none."""
-    c = Fraction(draw(st.integers(1, 9)), draw(st.sampled_from((1, 5, 9) + PRIMES)))
+    c = Fraction(draw(integers(1, 9)), draw(ratio_denominators))
     polys = [list((c**k * QPoly([1, 1]) ** k).coeffs)
-             for k in range(draw(st.integers(1, 12)))]
-    i = draw(st.integers(0, len(polys) - 1))
-    j = draw(st.integers(0, len(polys[i]) - 1))
-    polys[i][j] += draw(st.builds(Fraction, st.integers(-2, 2), st.sampled_from((1,) + PRIMES)))
+             for k in range(draw(integers(1, 12)))]
+    i = draw(integers(0, len(polys) - 1))
+    j = draw(integers(0, len(polys[i]) - 1))
+    polys[i][j] += draw(perturbations)
     return [QPoly(p) for p in polys]
 
 

@@ -376,6 +376,12 @@ class TestSerialization:
         with pytest.raises(FileFormatError):
             Triangle.parse("# arity=1 n_max=3\n1\n1 1\n")
 
+    def test_no_rows(self):
+        with pytest.raises(FileFormatError, match="row 0"):
+            Triangle((), 1)
+        with pytest.raises(FileFormatError, match="row 0"):
+            Triangle.parse("# arity=1 n_max=-1\n")
+
 
 class TestSchemes:
     def test_affine(self):
@@ -390,10 +396,13 @@ class TestSchemes:
         with pytest.raises(SchemeDomainError):
             s.at(1)
 
-    def test_dict_roundtrip(self):
-        for s in (CoeffScheme.constant(3), CoeffScheme.affine(1, 2),
-                  CoeffScheme.table([1, 2, 3], 1)):
-            assert CoeffScheme.from_dict(s.to_dict()) == s
+    @pytest.mark.parametrize("text, c", [("3", 3), ("1", 1), ("-5/3", Fraction(-5, 3))])
+    def test_constant_is_affine_of_slope_zero(self, text, c):
+        s = CoeffScheme.from_dict({"constant": text})
+        assert s == CoeffScheme.constant(c) == CoeffScheme.affine(0, c)
+        for k in (0, 1, 7):
+            assert s.at(k) == c and type(s.at(k)) is type(c)
+        assert type(CoeffScheme.constant(Fraction(1)).at(7)) is Fraction
 
 
 # -- generators against the schoolbook formulas ------------------------------------
