@@ -144,8 +144,8 @@ def is_log_convex(s: NumSeq) -> PropertyReport:
 # -- polynomial sequences -----------------------------------------------------
 
 
-def _kronecker(polys: Sequence[QPoly]) -> tuple[list[int], int]:
-    """Pack polynomials for the pair test.
+def _kronecker(polys: Sequence[QPoly]) -> tuple[list[tuple[int, int]], int, int]:
+    """Pack polynomials for the pair test at the two points +-2^h.
 
     If any coefficient is not exactly ``int``, every polynomial is first
     multiplied by D, the lcm of all coefficient denominators.  One common
@@ -153,13 +153,17 @@ def _kronecker(polys: Sequence[QPoly]) -> tuple[list[int], int]:
     their difference changes sign.  An all-``int`` sequence is packed as it
     stands.
 
-    Returns each (scaled) f as f(2^w) and the guard word G with bit b set in
-    each of the 2L-1 slots of width w = b + 1 that a product of two of them
-    spans.  With M the largest scaled coefficient bit-length and L the
-    longest length, every coefficient of a difference of two such products
-    lies strictly between -2^b and 2^b for b = 2M + L.bit_length() + 1.  So
-    G + X - Y writes each coefficient c as the slot digit 2^b + c with no
-    borrow into the next slot, and its guard bit is set exactly when c >= 0.
+    With M the largest scaled coefficient bit-length and L the longest
+    length, every coefficient d_i of a difference of two products lies
+    strictly between -2^b and 2^b for b = 2M + L.bit_length() + 1.  Returns
+    each (scaled) f as the pair (f(beta), f(-beta)) with beta = 2^h and
+    h = ceil((b + 2) / 2), the guard word G with bit 2h - 1 set in each of
+    the L slots of width 2h, and h.  With D+ and D- the difference at beta
+    and at -beta, D+ + D- = 2 sum d_2i beta^2i holds the even coefficients
+    and D+ - D- = 2 beta sum d_2i+1 beta^2i the odd ones.  Since
+    |2 d_i| < 2^(2h-1), G + D+ + D- and (G << h) + D+ - D- hold each d_i as
+    the slot digit 2^(2h-1) + 2 d_i with no borrow into the next slot, so
+    its guard bit is set exactly when d_i >= 0.
     """
     rows = [p.coeffs for p in polys]
     if any(type(c) is not int for cs in rows for c in cs):
@@ -168,16 +172,16 @@ def _kronecker(polys: Sequence[QPoly]) -> tuple[list[int], int]:
     bits = max((abs(c).bit_length() for cs in rows for c in cs), default=0)
     length = max(max(map(len, rows)), 1)
     b = 2 * bits + length.bit_length() + 1
-    w = b + 1
+    h = (b + 3) // 2  # ceil((b + 2) / 2)
     packed = []
     for cs in rows:
-        v = 0
+        plus = minus = 0
         for c in reversed(cs):
-            v = (v << w) + c
-        packed.append(v)
-    slots = 2 * length - 1
-    guard = ((1 << w * slots) - 1) // ((1 << w) - 1) << b
-    return packed, guard
+            plus, minus = (plus << h) + c, c - (minus << h)
+        packed.append((plus, minus))
+    w = 2 * h
+    guard = ((1 << w * length) - 1) // ((1 << w) - 1) << w - 1
+    return packed, guard, h
 
 
 def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> PropertyReport:
@@ -188,27 +192,34 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     variants restrict to m == n.  Pairs are scanned in lexicographic (n, m)
     order so the reported witness is the least failure.
 
-    Pairs are decided on Kronecker-packed integers (see :func:`_kronecker`);
-    the first failing pair is then recomputed with ``QPoly`` products of the
-    original polynomials, which gives its witness.  The outer product
-    f_{n-1} f_{m+1} of pair (n, m) is the inner product of pair
-    (n-1, m+1), so each row's packed inner products are carried into the
-    next row; only the previous and the current row are kept.
+    Pairs are decided on integers packed at +-2^h (see :func:`_kronecker`):
+    each product is two half-width integer products, one per point, and a
+    pair holds iff both guard words of its differences stay set.  The first
+    failing pair is then recomputed with ``QPoly`` products of the original
+    polynomials, which gives its witness.  The outer product f_{n-1} f_{m+1}
+    of pair (n, m) is the inner product of pair (n-1, m+1), so each row's
+    inner products, at both points, are carried into the next row; only the
+    previous and the current row are kept.
     """
     polys = ps.polys
     lo, hi = ps.offset, ps.offset + len(polys) - 1
-    packed, guard = _kronecker(polys)
-    carried: dict[int, int] = {}
+    packed, guard, h = _kronecker(polys)
+    odd_guard = guard << h
+    carried: dict[int, tuple[int, int]] = {}
     for ni in range(1, len(polys) - 1):
         m_range = (ni,) if adjacent_only else range(ni, len(polys) - 1)
-        row: dict[int, int] = {}
+        row: dict[int, tuple[int, int]] = {}
         for mi in m_range:
             outer = carried.get(mi + 1)
             if outer is None:
-                outer = packed[ni - 1] * packed[mi + 1]
-            inner = row[mi] = packed[ni] * packed[mi]
-            d = guard + outer - inner if convex else guard + inner - outer
-            if d & guard == guard:
+                (a, a_), (b, b_) = packed[ni - 1], packed[mi + 1]
+                outer = a * b, a_ * b_
+            (a, a_), (b, b_) = packed[ni], packed[mi]
+            inner = row[mi] = a * b, a_ * b_
+            x, y = (outer, inner) if convex else (inner, outer)
+            plus, minus = x[0] - y[0], x[1] - y[1]
+            if ((guard + plus + minus) & guard == guard
+                    and (odd_guard + plus - minus) & odd_guard == odd_guard):
                 continue
             outer = polys[ni - 1] * polys[mi + 1]
             inner = polys[ni] * polys[mi]

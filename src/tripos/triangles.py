@@ -309,10 +309,11 @@ def from_const_params(p: ConstParams, n_max: int) -> Triangle:
 
 def from_bisnomial(s: int, n_max: int) -> Triangle:
     """The s-Pascal triangle (arity s): row n holds the coefficients of
-    (1 + x + ... + x^s)^n, the band of offsets 0..s with every weight 1."""
+    (1 + x + ... + x^s)^n, the band of offsets 0..s with every weight 1.
+    Row 0 reads no weight, so for n_max = 0 only offset 0 is built."""
     if s < 1:
         raise ValueError("s must be a positive integer")
-    return _banded(dict.fromkeys(range(s + 1), _ONE), {}, s, n_max)
+    return _banded(dict.fromkeys(range(s + 1 if n_max > 0 else 1), _ONE), {}, s, n_max)
 
 
 def bisnomial_row(n: int, s: int) -> list[int]:

@@ -5,8 +5,10 @@ import http.client
 import importlib.util
 import io
 import json
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -325,6 +327,31 @@ class TestTransform:
                            "--direction", "convex")
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["transform", "{path}", "--direction", "convex"], {"transformed": ["1 1"]}),
+        (["generate", "--preset", "s_pascal", "--n", "0"],
+         {"triangle": [f"# arity={10**12} n_max=0", "1"]}),
+        (["check", "--preset", "s_pascal", "--n", "0", "rows-log-concave"],
+         {"verdict": "holds"}),
+    ], ids=["transform", "generate", "check"])
+    def test_row_zero_ignores_s(self, tmp_path, argv, expected):
+        # B_0 = f_0 and row 0 of the s-Pascal triangle is (1,) for every s, so
+        # n_max = 0 must not build the s + 1 band weights.  The child runs
+        # under a 1 GiB address-space limit, so a regression fails with exit 2
+        # instead of growing until the machine runs out of memory.
+        path = tmp_path / "polys.txt"
+        path.write_text("1 1\n1 2 1\n1 3 3 1\n")
+        argv = [arg.format(path=path) for arg in argv] + ["--s", str(10**12)]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "tripos.cli", *argv], env=src_env(),
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 0, proc.stderr
+        body = json.loads(proc.stdout)["reports"][0]
+        assert {k: body[k] for k in expected} == expected
 
 
 class TestReportEnvelope:

@@ -738,22 +738,61 @@ def test_rational_scan_forms_qpoly_products_only_for_its_witness(monkeypatch):
     assert len(products) == 2
 
 
-@pytest.mark.parametrize("length", range(1, 9))
+@pytest.mark.parametrize("length", range(1, 13))
 @pytest.mark.parametrize("bits", (1, 2, 3, 7, 64))
 def test_kronecker_width_bounds_extreme_differences(length, bits):
     # A false "holds" is the one packing error a witness recomputation
-    # cannot catch, so the bound is checked where it is tightest: two
-    # products of all-(2^M - 1) polynomials of one length, opposite signs.
-    # The Fraction case, top/D with D a prime near 10^6, packs its polynomials
-    # times D: the same integers, so the same bound is checked.
+    # cannot catch, so the bound is checked where it is tightest: the
+    # differences +-(X - Y) of two products of all-(2^M - 1) polynomials of one
+    # length with opposite signs.  Their largest coefficient 2L(2^M - 1)^2 sits
+    # at index L - 1, in the even class for odd L and in the odd class for
+    # even L.  Every slot of both guarded words must read 2^(2h-1) + 2 d_i
+    # exactly, with nothing above the last slot: a borrow or a carry between
+    # slots would change a digit.  The Fraction case, top/D with D a prime
+    # near 10^6, packs its polynomials times D: the same integers, so the
+    # same bound is checked.
     top = 2**bits - 1
     polys = (QPoly([top] * length), QPoly([-top] * length))
+    worst = polys[0] * polys[0] - polys[0] * polys[1]
+    assert max(worst.coeffs) == 2 * length * top * top
     for scale in (1, Fraction(1, 999983)):
-        packed, guard = _kronecker([scale * p for p in polys])
-        b = (guard & -guard).bit_length() - 1
-        w = b + 1
-        worst = max(abs(c) for c in (polys[0] * polys[0] - polys[0] * polys[1]).coeffs)
-        assert worst == 2 * length * top * top
-        assert worst < 2**b
-        assert bin(guard).count("1") == 2 * length - 1
-        assert [sum(c << w * i for i, c in enumerate(p.coeffs)) for p in polys] == packed
+        packed, guard, h = _kronecker([scale * p for p in polys])
+        slot = 2 ** (2 * h)
+        assert packed == [tuple(sum(c * x**i for i, c in enumerate(p.coeffs))
+                                for x in (2**h, -2**h)) for p in polys]
+        assert guard == sum(slot // 2 * slot**k for k in range(length))
+        (a, a_), (b, b_) = packed
+        for sign in (1, -1):
+            d = (sign * worst).coeffs
+            plus, minus = sign * (a * a - a * b), sign * (a_ * a_ - a_ * b_)
+            odd = (guard << h) + plus - minus
+            assert odd % 2**h == 0
+            for word, ds in ((guard + plus + minus, d[0::2]), (odd >> h, d[1::2] + (0,))):
+                digits = [word // slot**k % slot for k in range(length + 1)]
+                assert digits == [slot // 2 + 2 * c for c in ds] + [0]
+
+
+# The least failing pair of each sequence has exactly one negative
+# coefficient, at index 0, 1 or the top index 2L - 2 of its difference.
+ONE_NEGATIVE_COEFF = (
+    (True, ([1, 1, 1], [2], [1, 1, 1]), 0),
+    (True, ([2, 2, 2], [2, 3], [2, 2, 2]), 1),
+    (True, ([1, 1, 1], [0, 0, 2], [1, 1, 1]), 4),
+    (False, ([2], [1, 1, 1], [2]), 0),
+    (False, ([1, 3], [2, 2, 2], [4]), 1),
+    (False, ([0, 0, 2], [1, 1, 1], [0, 0, 2]), 4),
+)
+
+
+@pytest.mark.parametrize("convex, rows, index", ONE_NEGATIVE_COEFF)
+@pytest.mark.parametrize("scale", (1, Fraction(1, 7)))
+def test_pair_checks_find_a_lone_negative_coefficient(convex, rows, index, scale):
+    polys = tuple(scale * QPoly(r) for r in rows)
+    n, m, coeff_index, coeff = naive_first_failing_pair(polys, convex, False)
+    outer, inner = polys[n - 1] * polys[m + 1], polys[n] * polys[m]
+    diff = (outer - inner if convex else inner - outer).coeffs
+    assert [i for i, c in enumerate(diff) if c < 0] == [coeff_index] == [index]
+    check = is_strongly_q_log_convex if convex else is_strongly_q_log_concave
+    report = check(PolySeq(polys))
+    assert report.verdict == FAILS
+    assert report.witness == {"n": n, "m": m, "coeff_index": index, "coeff": coeff}
