@@ -38,7 +38,7 @@ _PUBLIC = {
     "oeis": ("BFile", "fetch_bfile", "parse_bfile", "reshape"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
-_SUBMODULES = frozenset(_PUBLIC) | {"cli", "errors", "oracles"}
+_SUBMODULES = frozenset(_PUBLIC) | {"cli", "errors", "oracles", "records"}
 
 __all__ = sorted(_HOME)
 

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Iterable, Sequence, Union
 
 from .errors import DigitLimitError, DimensionError
+from .records import Record
 
-ExactRat = Union[int, Fraction]
+ExactRat = int | Fraction
 
 
 def as_fraction(x: ExactRat) -> Fraction:
@@ -178,8 +178,7 @@ QPoly.ZERO = QPoly()
 QPoly.ONE = QPoly([1])
 
 
-@dataclass(frozen=True)
-class GeqVerdict:
+class GeqVerdict(Record):
     """Outcome of a coefficientwise >= comparison.
 
     On failure, ``index`` is the smallest coefficient index where the

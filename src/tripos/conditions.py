@@ -18,12 +18,12 @@ reported individually with the first failing index and both sides' values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections.abc import Callable
 from math import prod
-from typing import Callable
 
 from .algebra import ExactRat, QPoly, format_exact
 from .properties import FAILS, HOLDS, NumSeq, PropertyReport, is_log_concave
+from .records import Record, replace
 from .triangles import (
     FIVE_TERM_OFFSETS,
     CoeffScheme,
@@ -38,8 +38,7 @@ from .triangles import (
 DOMAIN_START = {name: max(d, 0) for name, d in FIVE_TERM_OFFSETS.items()}
 
 
-@dataclass(frozen=True)
-class ClauseResult:
+class ClauseResult(Record):
     text: str
     holds: bool
     fail_k: int | None = None
@@ -56,8 +55,7 @@ class ClauseResult:
         }
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Record):
     cid: str
     holds: bool
     clauses: tuple[ClauseResult, ...]
@@ -70,8 +68,7 @@ class ConditionResult:
         }
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     tag: str
     conditions: tuple[ConditionResult, ...]
     hypotheses: tuple[PropertyReport, ...] = ()

@@ -11,11 +11,11 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 from .errors import BFileError, CacheMissError, ContiguityError, FetchError, ReshapeError
+from .records import Record
 from .triangles import Triangle
 
 _ID_RE = re.compile(r"^A\d{6}$")
@@ -24,8 +24,7 @@ OEIS_HOST = "https://oeis.org"
 FETCH_TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(Record):
     """Parsed b-file: contiguous (index, value) pairs for one OEIS id."""
 
     id: str

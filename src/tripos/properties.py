@@ -16,13 +16,13 @@ property itself failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Sequence
 
 from .algebra import ExactRat, QPoly, det_exact, format_exact, poly_geq_q
 from .errors import DimensionError, SequenceRangeError
+from .records import Record, replace
 from .triangles import Triangle, row_polys
 
 HOLDS = "holds"
@@ -30,8 +30,7 @@ FAILS = "fails"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class NumSeq:
+class NumSeq(Record):
     """Finite window of a rational sequence; ``values[0]`` has index ``offset``."""
 
     values: tuple[ExactRat, ...]
@@ -46,8 +45,7 @@ class NumSeq:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class PolySeq:
+class PolySeq(Record):
     """Finite window of a polynomial sequence; ``polys[0]`` has index ``offset``."""
 
     polys: tuple[QPoly, ...]
@@ -62,8 +60,7 @@ class PolySeq:
         return len(self.polys)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Verdict of one property check over an explicit finite range.
 
     ``checked`` is the inclusive index window the verdict certifies (for

@@ -18,8 +18,6 @@ evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import QPoly
 from .errors import SequenceRangeError
 from .properties import (
@@ -31,11 +29,11 @@ from .properties import (
     is_strongly_q_log_concave,
     is_strongly_q_log_convex,
 )
+from .records import Record
 from .triangles import from_bisnomial
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Record):
     """Sparse integer form sum c_{ij} f_i f_j with normalized keys i <= j.
 
     Coefficients of mixed products count both orders (f_i f_j and f_j f_i
@@ -123,8 +121,7 @@ def transform_minor_form(n: int, m: int, s: int) -> BilinearForm:
     return BilinearForm.from_map(mapping)
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(Record):
     """Three-stage verdict of a transform-preservation run.
 
     The input is first gated on the claimed property; a failing gate makes

@@ -34,9 +34,8 @@ uniformly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from collections.abc import Sequence
 from operator import add, mul
-from typing import Sequence
 
 from . import oracles
 from .algebra import ExactRat, QPoly, format_exact, parse_exact
@@ -47,10 +46,10 @@ from .errors import (
     SequenceRangeError,
     UnknownPresetError,
 )
+from .records import Record, replace
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """Jagged array with declared arity: row n holds exactly arity*n + 1 entries."""
 
     rows: tuple[tuple[ExactRat, ...], ...]
@@ -114,8 +113,7 @@ class Triangle:
 # -- coefficient schemes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffScheme:
+class CoeffScheme(Record):
     """Per-index coefficient provider: the affine map k -> slope*k + intercept,
     or, when ``values`` is not None, the table of values at k = start, start+1, ...
     A constant c is the affine map of slope 0; 0*k + c has the value and type of c."""
@@ -182,8 +180,7 @@ def _scheme_value(value, parse=parse_exact):
         raise FileFormatError(f"bad coefficient scheme value {value!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ConstParams:
+class ConstParams(Record):
     """Nonnegative constant weights of the five-term recurrence with special
     k = 0 (alpha) and k = 1 (beta) head terms."""
 
@@ -204,7 +201,7 @@ class ConstParams:
         return tuple(self.as_dict().values())
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._values()))
 
 
 # -- the banded generator ------------------------------------------------------
@@ -234,32 +231,44 @@ def _band_weights(band: _Band, heads: _Heads, width: int) -> dict[int, list[Exac
     return weights
 
 
+def _reads_one(d: int, scheme: CoeffScheme, heads: _Heads) -> bool:
+    """Whether w_d is the ``int`` 1 wherever it is read: its scheme is the
+    ``int`` constant 1 and so is every head override at offset d."""
+    ones = (scheme.intercept, *(v for (e, _), v in heads.items() if e == d))
+    return (scheme.values is None and type(scheme.slope) is int and scheme.slope == 0
+            and all(type(x) is int and x == 1 for x in ones))
+
+
 def _banded(band: _Band, heads: _Heads, arity: int, n_max: int) -> Triangle:
     """Rows 0..n_max of T[n][k] = sum_d w_d(k) T[n-1][k-d] (see the module docstring).
 
     Each weight read multiplies its reference even where that is a 0 outside
     row n-1, so an entry is a ``Fraction`` exactly when one of its weights or
-    references is.  A weight that is the ``int`` 1 wherever it is read is
-    skipped, since 1 * x has the value and type of x.  An n_max below 0,
-    which would leave no row, raises ``ValueError``.
+    references is.  A weight that is the ``int`` 1 wherever it is read
+    (:func:`_reads_one`) is neither listed nor multiplied, since 1 * x has
+    the value and type of x.  An n_max below 0, which would leave no row,
+    raises ``ValueError``.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    weights = _band_weights(band, heads, arity * n_max + 1 if n_max > 0 else 0)
-    for d, w in weights.items():
-        if all(type(x) is int and x == 1 for x in w[max(d, 0):]):
-            weights[d] = None
-    hi, lo = max(band), min(band)
     rows = [(1,)]
+    if n_max == 0:
+        return Triangle(tuple(rows), arity)
+    hi, lo = max(band), min(band)
+    # padded[hi + j] = T[n-1][j], and 0 outside row n-1; rows only grow, so
+    # writing each row over the last keeps the zeros right of it.  It is
+    # allocated first, so a width past memory fails before anything grows.
+    padded = [0] * (hi + arity * n_max + 1 + arity - lo)
+    read = {d: scheme for d, scheme in band.items() if not _reads_one(d, scheme, heads)}
+    weights = _band_weights(read, heads, arity * n_max + 1)
     for n in range(1, n_max + 1):
         width = arity * n + 1
-        # padded[hi + j] = T[n-1][j], and 0 outside row n-1
-        padded = [0] * hi + list(rows[-1]) + [0] * (arity - lo)
+        padded[hi:hi + width - arity] = rows[-1]
         row = None
-        for d, w in weights.items():
+        for d in band:
             terms = padded[hi - d:hi - d + width]
-            if w is not None:
-                terms = list(map(mul, w, terms))
+            if d in weights:
+                terms = list(map(mul, weights[d], terms))
             row = terms if row is None else list(map(add, row, terms))
         rows.append(tuple(row))
     return Triangle(tuple(rows), arity)
@@ -310,9 +319,13 @@ def from_const_params(p: ConstParams, n_max: int) -> Triangle:
 def from_bisnomial(s: int, n_max: int) -> Triangle:
     """The s-Pascal triangle (arity s): row n holds the coefficients of
     (1 + x + ... + x^s)^n, the band of offsets 0..s with every weight 1.
-    Row 0 reads no weight, so for n_max = 0 only offset 0 is built."""
+    Row 0 reads no weight, so for n_max = 0 only offset 0 is built.  Before
+    the s + 1 offsets are built, one list as wide as row n_max is allocated,
+    so a width past memory raises ``MemoryError`` at once."""
     if s < 1:
         raise ValueError("s must be a positive integer")
+    if n_max > 0:
+        [0] * (s * n_max + 1)  # the MemoryError of a row that cannot fit
     return _banded(dict.fromkeys(range(s + 1 if n_max > 0 else 1), _ONE), {}, s, n_max)
 
 
@@ -380,8 +393,7 @@ def recurrence_matrix(p: ConstParams, size: int) -> list[list[ExactRat]]:
 # -- presets --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(Record):
     """A named triangle: its weights and the oracle that checks it.
 
     The three-term presets give either ``const_params`` (the constant

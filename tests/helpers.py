@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -27,6 +26,7 @@ from tripos.properties import (
     is_q_tp2,
     is_tp_r,
 )
+from tripos.records import replace
 from tripos.triangles import CoeffScheme, ConstParams, row_tail_poly
 
 

@@ -5,6 +5,7 @@ import http.client
 import importlib.util
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -352,6 +353,31 @@ class TestTransform:
         assert proc.returncode == 0, proc.stderr
         body = json.loads(proc.stdout)["reports"][0]
         assert {k: body[k] for k in expected} == expected
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM")
+    @pytest.mark.parametrize("s, code, peak_mb", [(3000, 0, 40), (10**11, 2, 64)],
+                             ids=["wide", "past-memory"])
+    def test_s_pascal_memory_is_linear_in_the_row_width(self, s, code, peak_mb):
+        # Every s-Pascal weight is the int 1, so no list of s*n_max + 1 weights
+        # is built for each of the s + 1 offsets (85 MB at s = 3000), and a row
+        # width that cannot be allocated fails before the s + 1 offsets grow.
+        # The child reports its own peak RSS and runs under a 1 GiB
+        # address-space limit, so a regression cannot exhaust the machine.
+        script = ("import sys, tripos.cli\n"
+                  "code = tripos.cli.main(sys.argv[1:])\n"
+                  "status = open('/proc/self/status').read()\n"
+                  "print(code, int(status.split('VmHWM:')[1].split()[0]) // 1024)\n")
+        argv = ["generate", "--preset", "s_pascal", "--s", str(s), "--n", "1",
+                "--out", os.devnull]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=src_env(),
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        exit_code, peak = map(int, proc.stdout.split()[-2:])
+        assert (exit_code, proc.returncode) == (code, 0)
+        assert peak < peak_mb
+        if code:
+            assert proc.stderr == "error: out of memory; the input is too large\n"
 
 
 class TestReportEnvelope:

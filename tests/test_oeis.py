@@ -271,14 +271,17 @@ def test_http_stack_loads_only_for_a_download(tmp_path):
 def test_cli_loads_each_half_of_the_paper_on_first_use(tmp_path):
     # The condition lists, the transform and b-file ingestion are imported
     # only by the verbs that use them, so a check of a preset never pays for
-    # them; each is loaded by its first run.
+    # them; each is loaded by its first run.  No verb loads dataclasses or
+    # inspect, which the value records do without.
     (tmp_path / "polys.txt").write_text("1\n1 1\n1 2 1\n1 3 3 1\n")
     script = (
         "import contextlib, io, sys\n"
         "import tripos.cli\n"
         "def loaded(stage):\n"
         "    lazy = ('tripos.conditions', 'tripos.transforms', 'tripos.oeis')\n"
-        "    print(stage, [m for m in lazy if m in sys.modules])\n"
+        "    never = ('dataclasses', 'inspect')\n"
+        "    print(stage, [m for m in lazy if m in sys.modules],\n"
+        "          [m for m in never if m in sys.modules])\n"
         "def run(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
         "            contextlib.redirect_stderr(io.StringIO()):\n"
@@ -293,12 +296,19 @@ def test_cli_loads_each_half_of_the_paper_on_first_use(tmp_path):
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "polys.txt")],
                          env=src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
-        "import []",
-        "0 []",
-        "0 []",
-        "0 ['tripos.conditions']",
-        "0 ['tripos.conditions', 'tripos.transforms']",
+        "import [] []",
+        "0 [] []",
+        "0 [] []",
+        "0 ['tripos.conditions'] []",
+        "0 ['tripos.conditions', 'tripos.transforms'] []",
     ]
+    # Without site (-S), no startup hook has loaded typing before tripos.
+    script = ("import sys, tripos.cli\n"
+              "tripos.cli.build_parser()\n"
+              "print([m for m in ('typing', 'dataclasses', 'inspect') if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script],
+                         env=src_env(), capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestCacheDirResolution:

@@ -437,8 +437,19 @@ integers = cache(st.integers)
 fixed_lists = cache(lambda elements, size: st.lists(elements, min_size=size, max_size=size))
 booleans = st.booleans()
 
+
+def fractions_between(low: int, high: int, max_denominator: int) -> tuple:
+    """Every Fraction in [low, high] with a denominator <= max_denominator,
+    which is what ``st.fractions`` with these bounds draws, smaller
+    denominators and then smaller magnitudes first, so that ``sampled_from``
+    draws one as a single index and shrinks towards the simplest."""
+    values = {Fraction(p, q) for q in range(1, max_denominator + 1)
+              for p in range(low * q, high * q + 1)}
+    return tuple(sorted(values, key=lambda x: (x.denominator, abs(x), x)))
+
+
 int_entries = st.integers(-4, 6)
-fraction_entries = st.fractions(min_value=-4, max_value=6, max_denominator=6)
+fraction_entries = st.sampled_from(fractions_between(-4, 6, 6))
 entry_kinds = st.sampled_from(
     (int_entries, fraction_entries, st.one_of(int_entries, fraction_entries))
 )
@@ -464,8 +475,8 @@ def dense_matrices(draw, square=False):
     return m
 
 
-weights = st.one_of(st.integers(0, 3),
-                    st.fractions(min_value=0, max_value=3, max_denominator=4))
+# the int weights 0..3 and the Fraction ones, in one index draw
+weights = st.sampled_from((*range(4), *fractions_between(0, 3, 4)))
 positive_weights = weights.filter(bool)
 zero_or_weights = st.one_of(st.just(0), weights)
 

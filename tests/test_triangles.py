@@ -213,8 +213,8 @@ class TestPresets:
     def _raised_under_optimize(setup: str, name: str, **kwargs) -> str:
         # Validation must not rest on assert, which python -O strips.
         script = (
-            "import dataclasses\n"
             "from tripos import triangles\n"
+            "from tripos.records import replace\n"
             "from tripos.errors import OracleMismatchError\n"
             f"{setup}"
             "try:\n"
@@ -229,7 +229,7 @@ class TestPresets:
     def test_wrong_triangle_raises_under_optimize(self):
         out = self._raised_under_optimize(
             "p = triangles.PRESETS['motzkin']\n"
-            "triangles.PRESETS['motzkin'] = dataclasses.replace(\n"
+            "triangles.PRESETS['motzkin'] = replace(\n"
             "    p, const_params=triangles.ConstParams(1, 1, 0, 1, 1, 2, 0))\n",
             "motzkin")
         assert out.startswith("raised: motzkin column-0 mismatch")
@@ -238,7 +238,7 @@ class TestPresets:
         # f = 2 keeps column 0 at 1, so only the whole-row comparison sees it
         out = self._raised_under_optimize(
             "p = triangles.PRESETS['pascal']\n"
-            "triangles.PRESETS['pascal'] = dataclasses.replace(\n"
+            "triangles.PRESETS['pascal'] = replace(\n"
             "    p, const_params=triangles.ConstParams(1, 1, 0, 1, 2, 0, 0))\n",
             "pascal")
         assert out.startswith("raised: pascal rows mismatch")
