@@ -69,8 +69,6 @@ def format_exact(x: ExactRat) -> str:
     A number past Python's int-to-str digit limit raises ``DigitLimitError``.
     """
     try:
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return str(x.numerator)
         return str(x)
     except ValueError as exc:
         raise DigitLimitError() from exc
@@ -125,8 +123,6 @@ class QPoly:
     def __mul__(self, other):
         if isinstance(other, QPoly):
             a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return QPoly()
             out = [0] * (len(a) + len(b) - 1)
             for i, ai in enumerate(a):
                 if ai == 0:
@@ -151,7 +147,9 @@ class QPoly:
         return result
 
     def shift(self, k: int) -> "QPoly":
-        """Multiply by q^k."""
+        """Multiply by q^k; a negative k raises ``ValueError``."""
+        if k < 0:
+            raise ValueError(f"negative shift {k} of a polynomial")
         if self.is_zero:
             return self
         return QPoly([0] * k + list(self.coeffs))
@@ -231,19 +229,26 @@ def _bareiss_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
+    """Row and column counts of a matrix; a ragged one raises ``DimensionError``."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise DimensionError(f"row {i} has {len(row)} entries, row 0 has {ncols}")
+    return nrows, ncols
+
+
 def det_exact(matrix: Sequence[Sequence[ExactRat]]) -> ExactRat:
     """Exact determinant of a square matrix of rationals.
 
     Denominators are cleared row by row first, then an integer Bareiss
-    elimination runs; intermediate values never leave the integers.
+    elimination runs; intermediate values never leave the integers.  A
+    ragged or non-square matrix raises ``DimensionError``.
     """
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise DimensionError(
-                f"determinant needs a square matrix, got a row of length "
-                f"{len(row)} in a {n}-row matrix"
-            )
+    n, ncols = _shape(matrix)
+    if n != ncols:
+        raise DimensionError(f"determinant needs a square matrix, got {n}x{ncols}")
     if n == 0:
         return 1
     scale = 1
@@ -252,21 +257,18 @@ def det_exact(matrix: Sequence[Sequence[ExactRat]]) -> ExactRat:
         mult = lcm(*(as_fraction(x).denominator for x in row))
         scale *= mult
         cleared.append([int(x * mult) for x in row])
-    det = _bareiss_int(cleared)
-    if scale == 1:
-        return det
-    result = Fraction(det, scale)
+    result = Fraction(_bareiss_int(cleared), scale)
     return int(result) if result.denominator == 1 else result
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """Matrix product; works for rational and for QPoly entries alike."""
-    if not a or not b:
-        return []
-    inner = len(b)
-    if any(len(row) != inner for row in a):
-        raise DimensionError("inner dimensions do not match")
-    cols = len(b[0])
+    """Matrix product; works for rational and for QPoly entries alike.  A
+    ragged operand or a mismatched inner dimension raises ``DimensionError``;
+    an empty ``a`` has no column count to mismatch, so its product is ``[]``."""
+    nrows, inner = _shape(a)
+    rows_b, cols = _shape(b)
+    if nrows and inner != rows_b:
+        raise DimensionError(f"inner dimensions do not match: {nrows}x{inner} by {rows_b}x{cols}")
     out = []
     for row in a:
         out.append(

@@ -128,8 +128,8 @@ def parse_const_params(text: str) -> ConstParams:
         raise FileFormatError(str(exc)) from exc
 
 
-def load_scheme_file(path: str) -> dict:
-    """``{"kind": kind, name: scheme, ...}`` of a three- or five-term scheme file."""
+def load_scheme_file(path: str) -> tuple[str, dict]:
+    """``(kind, {name: scheme, ...})`` of a three- or five-term scheme file."""
     try:
         data = json.loads(_read(path, "scheme file"))
     except json.JSONDecodeError as exc:
@@ -144,7 +144,7 @@ def load_scheme_file(path: str) -> dict:
         if name not in data:
             raise FileFormatError(f"scheme file is missing the {name!r} scheme")
         schemes[name] = CoeffScheme.from_dict(data[name])
-    return {"kind": kind, **schemes}
+    return kind, schemes
 
 
 def load_poly_file(path: str) -> PolySeq:
@@ -201,8 +201,8 @@ def _cmd_generate(args) -> tuple[dict, list[dict], int]:
         source = {"params": args.params}
     else:
         _refuse_unread(args, "--scheme-file", "--s")
-        schemes = load_scheme_file(args.scheme_file)
-        t = SCHEME_KINDS[schemes.pop("kind")][0](**schemes, n_max=args.n)
+        kind, schemes = load_scheme_file(args.scheme_file)
+        t = SCHEME_KINDS[kind][0](**schemes, n_max=args.n)
         source = {"scheme_file": args.scheme_file}
     serialized = t.serialize()
     if args.out:
@@ -257,8 +257,8 @@ def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
         _refuse_unread(args, "thm21", "--params", "--tail-recurrence")
         if not args.schemes:
             raise FileFormatError("conditions thm21 needs --schemes (five-term scheme file)")
-        schemes = load_scheme_file(args.schemes)
-        if schemes.pop("kind") != "five-term":
+        kind, schemes = load_scheme_file(args.schemes)
+        if kind != "five-term":
             raise FileFormatError("thm21 takes a five-term scheme file")
         k_max = 30 if args.k_max is None else args.k_max
         report = log_concavity_conditions(**schemes, k_max=k_max)

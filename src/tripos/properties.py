@@ -20,8 +20,8 @@ from collections.abc import Callable, Sequence
 from itertools import combinations
 from math import gcd, lcm
 
-from .algebra import ExactRat, QPoly, det_exact, format_exact, poly_geq_q
-from .errors import DimensionError, SequenceRangeError
+from .algebra import ExactRat, QPoly, _shape, det_exact, format_exact, poly_geq_q
+from .errors import SequenceRangeError
 from .records import Record, replace
 from .triangles import Triangle, row_polys
 
@@ -382,18 +382,6 @@ def _totally_nonnegative(rows: list[list[int]]) -> bool:
     pivots, so a singular matrix always fails; ``False`` only means that the
     certificate does not apply."""
     return _neville_passes(rows) and _neville_passes(list(zip(*rows)))
-
-
-def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
-    """Row and column counts of a matrix; a ragged one raises ``DimensionError``."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    for i, row in enumerate(matrix):
-        if len(row) != ncols:
-            raise DimensionError(
-                f"row {i} has {len(row)} entries, row 0 has {ncols}"
-            )
-    return nrows, ncols
 
 
 def _clear_rows(matrix: Sequence[Sequence[ExactRat]]) -> list[list[int]]:

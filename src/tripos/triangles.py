@@ -356,9 +356,11 @@ def row_polys(t: Triangle) -> list[QPoly]:
 
 
 def row_tail_poly(t: Triangle, n: int, k: int) -> QPoly:
-    """Tail sum of row n from column k upward, as a polynomial in q."""
+    """Tail sum of row n from column k >= 0 upward, as a polynomial in q."""
     if not 0 <= n <= t.n_max:
         raise SequenceRangeError(f"row {n} not generated (n_max={t.n_max})")
+    if k < 0:
+        raise ValueError(f"tail column {k} is negative")
     row = t.rows[n]
     if k >= len(row):
         return QPoly.ZERO

@@ -208,6 +208,16 @@ def random_q_tp2_matrix(rng: random.Random, size: int):
     return m
 
 
+def fractions_between(low: int, high: int, max_denominator: int) -> tuple:
+    """Every Fraction in [low, high] with a denominator <= max_denominator,
+    which is what ``st.fractions`` with these bounds draws, smaller
+    denominators and then smaller magnitudes first, so that ``sampled_from``
+    draws one as a single index and shrinks towards the simplest."""
+    values = {Fraction(p, q) for q in range(1, max_denominator + 1)
+              for p in range(low * q, high * q + 1)}
+    return tuple(sorted(values, key=lambda x: (x.denominator, abs(x), x)))
+
+
 def has_internal_zero_gap(values) -> bool:
     """True when two or more consecutive zeros sit between positive entries.
 

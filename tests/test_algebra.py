@@ -18,6 +18,7 @@ from tripos.algebra import (
     poly_geq_q,
 )
 from tripos.errors import DigitLimitError, DimensionError, TriposError
+from tripos.properties import is_q_tp2, is_tp_r
 
 polys = st.lists(st.integers(-9, 9), max_size=6).map(QPoly)
 small_polys = st.lists(st.integers(0, 5), max_size=4).map(QPoly)
@@ -88,6 +89,17 @@ class TestQPoly:
         assert f.shift(2).coeffs == (0, 0, 1, 2)
         assert QPoly.ZERO.shift(5).is_zero
 
+    def test_negative_shift_raises(self):
+        # q^-1 * (1 + 2q) is no polynomial; it must not come back unshifted
+        for f in (QPoly([1, 2]), QPoly.ZERO):
+            with pytest.raises(ValueError, match="negative shift"):
+                f.shift(-1)
+
+    def test_zero_operand_product_is_zero(self):
+        f = QPoly([1, 2])
+        for product in (QPoly() * f, f * QPoly(), QPoly() * QPoly()):
+            assert product == QPoly.ZERO and product.coeffs == ()
+
     def test_pow(self):
         assert (QPoly([1, 1]) ** 4).coeffs == (1, 4, 6, 4, 1)
         assert (QPoly([1, 1]) ** 0) == QPoly.ONE
@@ -144,8 +156,12 @@ class TestDetExact:
         assert det_exact(m) == 1
 
     def test_non_square_raises(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="square matrix, got 2x3"):
             det_exact([[1, 2, 3], [4, 5, 6]])
+
+    def test_integral_value_is_int(self):
+        for m in ([[2, 1], [1, 3]], [[Fraction(1, 2), 1], [1, 4]], [[Fraction(4, 2)]], []):
+            assert type(det_exact(m)) is int
 
     def test_singular_and_pivoting(self):
         assert det_exact([[0, 1], [0, 2]]) == 0
@@ -193,6 +209,8 @@ class TestPlumbing:
     def test_parse_format_roundtrip(self):
         for text in ("3", "-7", "5/3", "-11/4"):
             assert format_exact(parse_exact(text)) == text
+        assert format_exact(Fraction(6, 1)) == "6"
+        assert format_exact(Fraction(-12, 2)) == "-6"
 
     @settings(max_examples=600, deadline=None)
     @given(_number_tokens)
@@ -252,3 +270,42 @@ class TestDigitLimit:
                 format_exact(x)
         assert issubclass(DigitLimitError, TriposError)
         assert format_exact(big // 10) == "1" + "0" * (sys.get_int_max_str_digits() - 1)
+
+
+# -- one shape rule for every exact matrix -------------------------------------
+
+I2 = [[1, 0], [0, 1]]
+# Each entry point that reads a matrix, fed the matrix m; mat_mul once per operand.
+MATRIX_CALLS = {
+    "det_exact": det_exact,
+    "mat_mul-left": lambda m: mat_mul(m, I2),
+    "mat_mul-right": lambda m: mat_mul(I2, m),
+    "is_tp_r": lambda m: is_tp_r(m, 2),
+    "is_q_tp2": lambda m: is_q_tp2([[QPoly([x]) for x in row] for row in m]),
+}
+
+
+@pytest.mark.parametrize("call", MATRIX_CALLS.values(), ids=list(MATRIX_CALLS))
+@pytest.mark.parametrize("ragged", ([[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1], [2, 3]]),
+                         ids=("short-row", "long-row", "long-second-row"))
+def test_ragged_matrix_raises_dimension_error(call, ragged):
+    with pytest.raises(DimensionError, match=r"row 1 has \d entries, row 0 has \d"):
+        call(ragged)
+
+
+@pytest.mark.parametrize("a, b", (
+    ([[1, 2]], [[1], [2], [3]]),
+    ([[1, 2]], []),
+    ([[]], [[1]]),
+    (I2, [[1, 2]]),
+))
+def test_mat_mul_inner_mismatch_raises(a, b):
+    with pytest.raises(DimensionError, match="inner dimensions do not match"):
+        mat_mul(a, b)
+
+
+def test_mat_mul_empty_products():
+    assert mat_mul([], I2) == []
+    assert mat_mul([], []) == []
+    assert mat_mul([[]], []) == [[]]  # the 1x0 product
+    assert mat_mul([[1, 2]], [[], []]) == [[]]

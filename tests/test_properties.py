@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    fractions_between,
     gauss_det,
     has_internal_zero_gap,
     naive_first_failing_pair,
@@ -438,16 +439,6 @@ fixed_lists = cache(lambda elements, size: st.lists(elements, min_size=size, max
 booleans = st.booleans()
 
 
-def fractions_between(low: int, high: int, max_denominator: int) -> tuple:
-    """Every Fraction in [low, high] with a denominator <= max_denominator,
-    which is what ``st.fractions`` with these bounds draws, smaller
-    denominators and then smaller magnitudes first, so that ``sampled_from``
-    draws one as a single index and shrinks towards the simplest."""
-    values = {Fraction(p, q) for q in range(1, max_denominator + 1)
-              for p in range(low * q, high * q + 1)}
-    return tuple(sorted(values, key=lambda x: (x.denominator, abs(x), x)))
-
-
 int_entries = st.integers(-4, 6)
 fraction_entries = st.sampled_from(fractions_between(-4, 6, 6))
 entry_kinds = st.sampled_from(
@@ -625,7 +616,7 @@ PAIR_CHECKS = (
 big_ints = st.builds(lambda sign, v: sign * v, st.sampled_from((1, -1)),
                      st.integers(2**200, 2**202))
 int_coeffs = st.one_of(st.integers(-3, 9), big_ints)
-fraction_coeffs = st.fractions(min_value=-3, max_value=9, max_denominator=4)
+fraction_coeffs = st.sampled_from(fractions_between(-3, 9, 4))
 # Denominators up to about 10^6, among them coprime primes, so that the common
 # denominator of a sequence is far larger than that of any one polynomial.
 PRIMES = (2, 3, 7, 999959, 999961, 999979, 999983)

@@ -301,6 +301,12 @@ class TestTailMatrix:
         assert row_tail_poly(t, 0, 0) == QPoly.ONE
         assert row_tail_poly(t, 0, 1).is_zero
 
+    def test_negative_column_raises(self):
+        # row[-1:] is the last entry, not the tail from column -1
+        t = build_preset("pascal", 3)
+        with pytest.raises(ValueError, match="negative"):
+            row_tail_poly(t, 2, -1)
+
     def test_factorization_tails_equal_triangle_times_qpowers(self):
         for params in (ConstParams(1, 1, 0, 1, 1, 1, 0),
                        ConstParams(1, 1, 1, 1, 1, 0, 0),
