@@ -35,7 +35,8 @@ uniformly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import add, mul
+from itertools import accumulate, islice
+from operator import add, mul, sub
 
 from . import oracles
 from .algebra import ExactRat, QPoly, format_exact, parse_exact
@@ -261,15 +262,24 @@ def _banded(band: _Band, heads: _Heads, arity: int, n_max: int) -> Triangle:
     padded = [0] * (hi + arity * n_max + 1 + arity - lo)
     read = {d: scheme for d, scheme in band.items() if not _reads_one(d, scheme, heads)}
     weights = _band_weights(read, heads, arity * n_max + 1)
+    # Every weight 1 on the offsets lo..hi: row n is a sliding sum of row n-1,
+    # one pass of prefix sums and one of differences.  Below three offsets
+    # the one pass of shifted sums costs less.
+    window = hi - lo + 1 if not read and len(band) == hi - lo + 1 > 2 else 0
     for n in range(1, n_max + 1):
         width = arity * n + 1
         padded[hi:hi + width - arity] = rows[-1]
-        row = None
-        for d in band:
-            terms = padded[hi - d:hi - d + width]
-            if d in weights:
-                terms = list(map(mul, weights[d], terms))
-            row = terms if row is None else list(map(add, row, terms))
+        if window:
+            # T[n][k] = padded[k] + ... + padded[k + window - 1] = sums[k + window] - sums[k]
+            sums = list(accumulate(padded[:width + window - 1], initial=0))
+            row = map(sub, islice(sums, window, None), sums)
+        else:
+            row = None
+            for d in band:
+                terms = padded[hi - d:hi - d + width]
+                if d in weights:
+                    terms = list(map(mul, weights[d], terms))
+                row = terms if row is None else list(map(add, row, terms))
         rows.append(tuple(row))
     return Triangle(tuple(rows), arity)
 

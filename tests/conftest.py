@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from tripos.properties import PolySeq
@@ -13,3 +15,11 @@ def preset_rowgens():
         name: PolySeq(tuple(row_polys(build_preset(name, 31))))
         for name in CONVEX_PRESETS
     }
+
+
+@pytest.fixture(scope="session")
+def network_allowed():
+    """Whether a ``network`` test may download: only when the environment sets
+    TRIPOS_NETWORK_TESTS=1.  By default such a test reads the cache offline
+    and skips on a miss, so the suite makes no network attempt."""
+    return os.environ.get("TRIPOS_NETWORK_TESTS") == "1"

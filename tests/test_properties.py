@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,8 +45,10 @@ from tripos.properties import (
 )
 from tripos.triangles import (
     PRESET_NAMES,
+    ConstParams,
     bisnomial_row,
     build_preset,
+    from_const_params,
     preset,
     recurrence_matrix,
     row_polys,
@@ -798,3 +802,115 @@ def test_pair_checks_find_a_lone_negative_coefficient(convex, rows, index, scale
     report = check(PolySeq(polys))
     assert report.verdict == FAILS
     assert report.witness == {"n": n, "m": m, "coeff_index": index, "coeff": coeff}
+
+
+# -- the J-fraction certificate before the strong convex scan ----------------------
+
+THREE_TERM_PRESETS = tuple(name for name in PRESET_NAMES if name != "s_pascal")
+
+
+@cache
+def rowgens(name, n_max):
+    return tuple(row_polys(build_preset(name, n_max)))
+
+
+def jacobi_entries(polys):
+    return list(properties._jacobi([p.coeffs for p in polys]))
+
+
+def always_certify():
+    """Route every strong convex scan through the certificate, whatever its size."""
+    return mock.patch.object(properties, "_certificate_pays", lambda polys: True)
+
+
+def test_motzkin_certificate_forms_no_packed_product(monkeypatch):
+    polys = rowgens("motzkin", 40)
+    entries = jacobi_entries(polys)
+    assert entries[0::2] == [[1, 1]] + [[1]] * 19  # beta_0 .. beta_19
+    assert entries[1::2] == [[1]] * 20  # gamma_1 .. gamma_20
+    assert properties._jfraction_depth(polys) == 20
+
+    def no_packing(polys):
+        raise AssertionError("the scan packed a sequence the certificate proves")
+
+    monkeypatch.setattr(properties, "_kronecker", no_packing)
+    with always_certify():
+        report = is_strongly_q_log_convex(PolySeq(polys))
+    assert report == PropertyReport("strongly-q-log-convex", (0, 40), HOLDS)
+    # 61 rows x 89 bits = 5429 >= 3072: the route takes the certificate itself
+    report = is_strongly_q_log_convex(PolySeq(rowgens("motzkin", 60)))
+    assert report == PropertyReport("strongly-q-log-convex", (0, 60), HOLDS)
+
+
+def test_stirling2_jacobi_entries():
+    entries = jacobi_entries(rowgens("stirling2", 30))
+    assert entries[0::2] == [[k + 1, 1] for k in range(15)]  # beta_k = k + 1 + q
+    assert entries[1::2] == [[0, k] for k in range(1, 16)]  # gamma_k = k q
+
+
+@pytest.mark.parametrize("polys", [
+    rowgens("pascal", 30),
+    tuple(Fraction(3, 7) ** k * QPoly([1, 1]) ** k for k in range(31)),
+], ids=["pascal", "rational-powers"])
+def test_finite_jfraction_proves_every_pair(polys):
+    # R_0 = 1, beta_0 = R_1, and gamma_1 = 0 ends J; every later row is one of its moments
+    entries = jacobi_entries(polys)
+    assert entries[0] == list(polys[1].coeffs)
+    assert entries[1:] == [[]] * 29
+    assert 2 * properties._jfraction_depth(polys) + 1 >= 30
+    # a row that is no moment of it ends the proof at the row before
+    broken = polys[:20] + (polys[20] + QPoly([1]),) + polys[21:]
+    assert properties._jfraction_depth(broken) == 9
+
+
+@pytest.mark.parametrize("rows, depth", [
+    ([[1], [0, 1], [1, 0, 1]], 0),  # gamma_1 = 1, but no beta_1 >= 0 with q beta_1 >= 1
+    ([[1], [1, 1], [1, 3, 1]], 1),  # gamma_1 = q: beta_1 = q will do
+    ([[2], [1], []], -1),  # beta_0 = 1/2 is no integer, so int rows stop there
+    ([[Fraction(2)], [1], []], 0),  # as Fractions, gamma_1 = -1/4 < 0
+    ([[1], [-1], [1]], -1),  # beta_0 = -1
+    ([[1, 1], [1]], -1),  # R_0 is not a constant
+    ([[], [1]], -1),
+    ([[3]], 0),
+])
+def test_jfraction_depth_of_short_sequences(rows, depth):
+    assert properties._jfraction_depth([QPoly(r) for r in rows]) == depth
+
+
+@st.composite
+def lowered_presets(draw):
+    """The rows 0..N (N <= 24) of a three-term preset with one entry lowered by 1."""
+    rows = [list(p.coeffs) for p in
+            rowgens(draw(st.sampled_from(THREE_TERM_PRESETS)), draw(integers(2, 24)))]
+    r = draw(integers(0, len(rows) - 1))
+    rows[r][draw(integers(0, len(rows[r]) - 1))] -= 1
+    return [QPoly(row) for row in rows]
+
+
+@given(lowered_presets())
+@settings(max_examples=150, deadline=None)
+def test_certified_scan_matches_reference_on_lowered_presets(polys):
+    with always_certify():
+        report = is_strongly_q_log_convex(PolySeq(tuple(polys)))
+    expected = naive_first_failing_pair(polys, True, False)
+    window = (0, len(polys) - 1)
+    if expected is None:
+        assert report == PropertyReport("strongly-q-log-convex", window, HOLDS)
+    else:
+        n, m, index, coeff = expected
+        witness = {"n": n, "m": m, "coeff_index": index, "coeff": coeff}
+        assert report == PropertyReport("strongly-q-log-convex", window, FAILS, witness=witness)
+
+
+def test_certificate_skips_only_pairs_that_hold():
+    # The pairs with m + 1 <= 2K + 1 are all the pairs of rows 0..2K+1.
+    tuples = list(product(range(4), repeat=7))
+    random.Random(21).shuffle(tuples)
+    proved = 0
+    for p in tuples[:2000]:
+        polys = row_polys(from_const_params(ConstParams(*p), 12))
+        depth = properties._jfraction_depth(polys)
+        if depth > 0:
+            assert naive_first_failing_pair(polys[:2 * depth + 2], True, False) is None, p
+            proved += 1
+    assert proved >= 150

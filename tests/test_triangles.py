@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -459,13 +459,15 @@ class TestAgainstSchoolbook:
                          lambda: schoolbook_five_term(*(s.at for s in schemes), n_max))
 
     @given(const_params, st.integers(0, 6), st.integers(1, 7))
+    @example(ConstParams(1, 1, 1, 1, 1, 1, 1), 6, 3)  # every weight 1: a sliding sum
     @settings(max_examples=200, deadline=None)
     def test_const_params_and_recurrence_matrix(self, p, n_max, size):
         assert_same_rows(lambda: from_const_params(p, n_max),
                          lambda: schoolbook_alpha_beta(p, n_max))
         assert _typed(recurrence_matrix(p, size)) == _typed(schoolbook_recurrence_matrix(p, size))
 
-    @given(st.integers(1, 4), st.integers(0, 8))
+    @given(st.integers(1, 6), st.integers(0, 8))
+    @example(6, 8)
     @settings(max_examples=60, deadline=None)
     def test_bisnomial(self, s, n_max):
         expected = [expansion_bisnomial_row(n, s) for n in range(n_max + 1)]
