@@ -17,7 +17,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import lcm, prod
 
 from .errors import DigitLimitError, DimensionError
 from .records import Record
@@ -27,6 +27,11 @@ ExactRat = int | Fraction
 
 def as_fraction(x: ExactRat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _normal_form(x: Fraction) -> ExactRat:
+    """The canonical exact value of ``x``: ``int`` when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 # A decimal token with an exponent, in the grammar Fraction() accepts; the
@@ -60,7 +65,7 @@ def parse_exact(text: str) -> ExactRat:
         f = Fraction(token)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {token!r}") from exc
-    return int(f) if f.denominator == 1 else f
+    return _normal_form(f)
 
 
 def format_exact(x: ExactRat) -> str:
@@ -150,8 +155,6 @@ class QPoly:
         """Multiply by q^k; a negative k raises ``ValueError``."""
         if k < 0:
             raise ValueError(f"negative shift {k} of a polynomial")
-        if self.is_zero:
-            return self
         return QPoly([0] * k + list(self.coeffs))
 
     # -- plumbing ------------------------------------------------------------
@@ -203,6 +206,24 @@ def poly_geq_q(f: QPoly, g: QPoly) -> GeqVerdict:
 # -- exact determinants ------------------------------------------------------
 
 
+def clear_rows(rows: Sequence[Sequence[ExactRat]],
+               common: bool = False) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators: the integer rows and their multipliers.
+
+    Row i comes back as ``rows[i]`` times ``mults[i]``, the lcm of the
+    denominators of its entries; with ``common``, every row is multiplied by
+    the lcm of all denominators.  A multiplier is positive, so one per row
+    keeps the sign of every minor, and one common to all rows keeps the sign
+    of every coefficient of a difference of two products of rows."""
+    base = lcm(*(x.denominator for row in rows for x in row)) if common else 0
+    cleared, mults = [], []
+    for row in rows:
+        mult = base or lcm(*(x.denominator for x in row))
+        mults.append(mult)
+        cleared.append([x.numerator * (mult // x.denominator) for x in row])
+    return cleared, mults
+
+
 def _bareiss_int(m: list[list[int]]) -> int:
     """Fraction-free elimination on an integer matrix; returns det exactly."""
     n = len(m)
@@ -242,23 +263,19 @@ def _shape(matrix: Sequence[Sequence]) -> tuple[int, int]:
 def det_exact(matrix: Sequence[Sequence[ExactRat]]) -> ExactRat:
     """Exact determinant of a square matrix of rationals.
 
-    Denominators are cleared row by row first, then an integer Bareiss
-    elimination runs; intermediate values never leave the integers.  A
-    ragged or non-square matrix raises ``DimensionError``.
+    Denominators are cleared row by row first (:func:`clear_rows`), then an
+    integer Bareiss elimination runs; intermediate values never leave the
+    integers, and the result is divided by the product of the row
+    multipliers once, at the end.  A ragged or non-square matrix raises
+    ``DimensionError``.
     """
     n, ncols = _shape(matrix)
     if n != ncols:
         raise DimensionError(f"determinant needs a square matrix, got {n}x{ncols}")
     if n == 0:
         return 1
-    scale = 1
-    cleared: list[list[int]] = []
-    for row in matrix:
-        mult = lcm(*(as_fraction(x).denominator for x in row))
-        scale *= mult
-        cleared.append([int(x * mult) for x in row])
-    result = Fraction(_bareiss_int(cleared), scale)
-    return int(result) if result.denominator == 1 else result
+    cleared, mults = clear_rows(matrix)
+    return _normal_form(Fraction(_bareiss_int(cleared), prod(mults)))
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

@@ -132,8 +132,10 @@ def load_scheme_file(path: str) -> tuple[str, dict]:
     """``(kind, {name: scheme, ...})`` of a three- or five-term scheme file."""
     try:
         data = json.loads(_read(path, "scheme file"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"scheme file is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Besides invalid JSON: an integer past the int-to-str digit limit,
+        # or arrays nested past the recursion limit.
+        raise FileFormatError(f"cannot parse the scheme file as JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FileFormatError("scheme file must hold a JSON object")
     kind = data.get("kind")

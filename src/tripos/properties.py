@@ -19,10 +19,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from operator import floordiv, truediv
 
-from .algebra import ExactRat, QPoly, _shape, det_exact, format_exact, poly_geq_q
+from .algebra import ExactRat, QPoly, _shape, clear_rows, det_exact, format_exact, poly_geq_q
 from .errors import SequenceRangeError
 from .records import Record, replace
 from .triangles import Triangle, row_polys
@@ -147,9 +147,10 @@ def _kronecker(polys: Sequence[QPoly]) -> tuple[list[tuple[int, int]], int, int]
     """Pack polynomials for the pair test at the two points +-2^h.
 
     If any coefficient is not exactly ``int``, every polynomial is first
-    multiplied by D, the lcm of all coefficient denominators.  One common
-    D > 0 scales both products of every pair by D^2, so no coefficient of
-    their difference changes sign.  An all-``int`` sequence is packed as it
+    multiplied by D, the least common multiple of all coefficient
+    denominators (:func:`~tripos.algebra.clear_rows` with ``common``).  One
+    common D > 0 scales both products of every pair by D^2, so no
+    coefficient of their difference changes sign.  An all-``int`` sequence is packed as it
     stands.
 
     With M the largest scaled coefficient bit-length and L the longest
@@ -166,8 +167,7 @@ def _kronecker(polys: Sequence[QPoly]) -> tuple[list[tuple[int, int]], int, int]
     """
     rows = [p.coeffs for p in polys]
     if any(type(c) is not int for cs in rows for c in cs):
-        d = lcm(*(c.denominator for cs in rows for c in cs))
-        rows = [[c.numerator * (d // c.denominator) for c in cs] for cs in rows]
+        rows = clear_rows(rows, common=True)[0]
     bits = max((abs(c).bit_length() for cs in rows for c in cs), default=0)
     length = max(max(map(len, rows)), 1)
     b = 2 * bits + length.bit_length() + 1
@@ -203,6 +203,11 @@ def _step(a: Sequence[ExactRat], beta: Sequence[ExactRat], x: Sequence[ExactRat]
     return out
 
 
+def _order(p: Sequence[ExactRat]) -> int:
+    """Index of the lowest nonzero coefficient of a nonzero p."""
+    return next(i for i, x in enumerate(p) if x)
+
+
 def _divide(a: list[ExactRat], d: Sequence[ExactRat], div) -> list[ExactRat] | None:
     """The quotient a / d of coefficient lists with no trailing zero (d
     nonzero), or ``None`` when it is not exact.  ``div`` divides one
@@ -211,9 +216,7 @@ def _divide(a: list[ExactRat], d: Sequence[ExactRat], div) -> list[ExactRat] | N
     lists.  It costs about len(d) operations per quotient coefficient."""
     if not a:
         return a
-    s = 0
-    while not d[s]:
-        s += 1
+    s = _order(d)
     if any(a[:s]):
         return None
     a, d = a[s:], d[s:]
@@ -292,11 +295,6 @@ def _jacobi(rows: Sequence[Sequence[ExactRat]]) -> Iterator[list[ExactRat]]:
                     end = top
         yield entry
         older, old = old, new
-
-
-def _order(p: Sequence[ExactRat]) -> int:
-    """Index of the lowest nonzero coefficient of a nonzero p."""
-    return next(i for i, x in enumerate(p) if x)
 
 
 def _jfraction_depth(polys: Sequence[QPoly]) -> int:
@@ -524,8 +522,6 @@ def _first_negative_minor(
                 return
             if depth < limit and i + 1 < nrows:
                 walk(i + 1, chosen + (i,), minors)
-                if limit < depth:
-                    return
 
     if r:
         walk(0, (), [1])
@@ -573,23 +569,15 @@ def _totally_nonnegative(rows: list[list[int]]) -> bool:
     return _neville_passes(rows) and _neville_passes(list(zip(*rows)))
 
 
-def _clear_rows(matrix: Sequence[Sequence[ExactRat]]) -> list[list[int]]:
-    """Each row times the lcm of its entries' denominators, as integers."""
-    cleared = []
-    for row in matrix:
-        mult = lcm(*(x.denominator for x in row))
-        cleared.append([x.numerator * (mult // x.denominator) for x in row])
-    return cleared
-
-
 def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     """Total positivity of order r: every minor of order <= r is nonnegative.
 
     The witness is the first negative minor by increasing order, then by
     lexicographic row and column subsets (:func:`_first_negative_minor`).
-    Each row is scaled by the lcm of its denominators first, which keeps
-    every minor's sign, so the scan runs on integers; the witness minor is
-    then recomputed with :func:`det_exact` on the original entries.  A
+    Each row is scaled by the least common multiple of its denominators
+    first (:func:`~tripos.algebra.clear_rows`), which keeps every minor's
+    sign, so the scan runs on integers; the witness minor is then recomputed
+    with :func:`det_exact` on the original entries.  A
     square matrix that :func:`_totally_nonnegative` certifies holds without
     the scan; every other matrix is scanned.
     """
@@ -599,7 +587,7 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     r_eff = min(r, nrows, ncols)
     note = None if r_eff == r else (
         f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})")
-    cleared = _clear_rows(matrix)
+    cleared = clear_rows(matrix)[0]
     certified = nrows == ncols and _totally_nonnegative(cleared)
     found = None if certified else _first_negative_minor(cleared, ncols, r_eff)
     if found:

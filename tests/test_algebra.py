@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import fraction_parse_exact, gauss_det, naive_det
 from tripos.algebra import (
     QPoly,
+    clear_rows,
     det_exact,
     format_exact,
     mat_mul,
@@ -104,6 +105,10 @@ class TestQPoly:
         assert (QPoly([1, 1]) ** 4).coeffs == (1, 4, 6, 4, 1)
         assert (QPoly([1, 1]) ** 0) == QPoly.ONE
 
+    def test_negative_pow_raises(self):
+        with pytest.raises(ValueError, match="negative power"):
+            QPoly([1, 1]) ** -1
+
     @given(polys, polys, polys)
     @settings(max_examples=60)
     def test_mul_associative_commutative(self, f, g, h):
@@ -143,6 +148,14 @@ class TestCoefficientwiseOrder:
         assert poly_geq_q(g, f).holds
         assert poly_geq_q(h, g).holds
         assert poly_geq_q(h, f).holds
+
+
+def test_clear_rows_per_row_and_common():
+    rows = [[Fraction(1, 2), 3], [Fraction(2, 3), Fraction(-1, 6)], []]
+    assert clear_rows(rows) == ([[1, 6], [4, -1], []], [2, 6, 1])
+    assert clear_rows(rows, common=True) == ([[3, 18], [4, -1], []], [6, 6, 6])
+    cleared, _ = clear_rows(rows, common=True)
+    assert {type(x) for row in cleared for x in row} == {int}
 
 
 class TestDetExact:

@@ -485,6 +485,55 @@ def test_malformed_scheme_exit2(capsys, tmp_path, scheme, argv):
     assert "error" in err and "Traceback" not in err
 
 
+SCHEME_FILE_ARGV = {"generate": ["generate", "--scheme-file", "{path}", "--n", "2"],
+                   "thm21": ["conditions", "thm21", "--schemes", "{path}"]}
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# json.loads raises a plain ValueError for an integer literal past the digit
+# limit, and RecursionError long before 200,000 nested arrays.
+LONG_INTEGER_SCHEME = '{"kind": "five-term", "f": {"constant": %s}}' % ("9" * (DIGIT_LIMIT + 1))
+NESTED_SCHEME = '{"kind": "five-term", "f": ' + "[" * 200_000 + "]" * 200_000 + "}"
+
+# (argv, scheme file text or None, a fragment of the one error line)
+VALIDATION_ERRORS = {
+    "oeis-without-arity": (["check", "--oeis", "A000001", "--offline", "--cache-dir", "{dir}",
+                            "rows-log-concave"], None, "--oeis needs --arity"),
+    "preset-without-n": (["check", "--preset", "pascal", "rows-log-concave"], None,
+                         "--preset needs --n"),
+    "thm21-without-schemes": (["conditions", "thm21"], None, "thm21 needs --schemes"),
+    "thm21-three-term": (SCHEME_FILE_ARGV["thm21"],
+                         json.dumps({"kind": "three-term", "f": {"constant": "1"},
+                                     "g": {"constant": "1"}}),
+                         "thm21 takes a five-term scheme file"),
+    "cor22-without-params": (["conditions", "cor22"], None, "cor22 needs --params"),
+    "thm34-without-params": (["conditions", "thm34"], None, "thm34 needs --params"),
+    "scheme-not-json": (SCHEME_FILE_ARGV["generate"], "kind: three-term",
+                        "cannot parse the scheme file as JSON"),
+    "scheme-unknown-key": (SCHEME_FILE_ARGV["generate"],
+                           json.dumps({"kind": "three-term", "f": {"slope": "1"},
+                                       "g": {"constant": "1"}}),
+                           "unrecognized coefficient scheme"),
+    **{f"scheme-nested-{cmd}": (argv, NESTED_SCHEME, "recursion")
+       for cmd, argv in SCHEME_FILE_ARGV.items()},
+}
+VALIDATION_CASES = [pytest.param(*case, id=name) for name, case in VALIDATION_ERRORS.items()] + [
+    pytest.param(argv, LONG_INTEGER_SCHEME, "digits", id=f"scheme-long-integer-{cmd}",
+                 marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-to-str digit limit"))
+    for cmd, argv in SCHEME_FILE_ARGV.items()]
+
+
+@pytest.mark.parametrize("argv, text, fragment", VALIDATION_CASES)
+def test_validation_error_exit2(capsys, tmp_path, argv, text, fragment):
+    path = tmp_path / "scheme.json"
+    if text is not None:
+        path.write_text(text)
+    code = main([arg.format(path=path, dir=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no int-to-str digit limit")
 class TestDigitLimit:

@@ -17,6 +17,7 @@ from tripos.errors import (
 )
 from tripos.oeis import (
     FETCH_TIMEOUT_S,
+    BFile,
     bfile_url,
     fetch_bfile,
     parse_bfile,
@@ -80,6 +81,14 @@ class TestReshape:
         b = parse_bfile("\n".join(f"{i} 1" for i in range(7)) + "\n")
         with pytest.raises(ReshapeError, match="3 left over"):
             reshape(b, 2)
+
+    def test_arity_zero_raises(self):
+        with pytest.raises(ReshapeError, match="arity must be a positive integer"):
+            reshape(parse_bfile("0 1\n1 1\n"), 0)
+
+    def test_trim_without_a_complete_row_raises(self):
+        with pytest.raises(ReshapeError, match="not even one complete row"):
+            trim_to_rows(BFile("A000001", ()), 1)
 
     def test_trim_to_rows(self):
         b = parse_bfile("\n".join(f"{i} 1" for i in range(7)) + "\n")

@@ -21,7 +21,7 @@ from helpers import (
     random_tp2_matrix,
 )
 from tripos import properties
-from tripos.algebra import QPoly, mat_mul
+from tripos.algebra import QPoly, clear_rows, mat_mul
 from tripos.errors import DimensionError, SequenceRangeError
 from tripos.properties import (
     FAILS,
@@ -331,6 +331,12 @@ class TestPolyaFrequency:
         r = is_pf_r(NumSeq((1, 2, 1)), 2, 3)
         assert "window" in r.note
 
+    def test_order_above_window_joins_both_notes(self):
+        r = is_pf_r(NumSeq((1, 2, 1)), 5, 3)
+        assert r.holds and r.checked == (1, 3)
+        assert r.note == ("verdict for the 3x3 Toeplitz window only; "
+                          "r clamped from 5 to 3 (matrix is 3x3)")
+
 
 class TestQTotalPositivity:
     def test_q_power_truncation(self):
@@ -560,7 +566,7 @@ def singular_tn_matrices(draw):
 def test_neville_certificate_matches_reference(m):
     # certified exactly when no minor of any order is negative and the
     # determinant is not zero; int, Fraction and mixed rows are cleared first
-    certified = properties._totally_nonnegative(properties._clear_rows(m))
+    certified = properties._totally_nonnegative(clear_rows(m)[0])
     tn = naive_first_negative_minor(m, len(m)) is None
     assert certified == (tn and gauss_det(m) != 0)
 

@@ -6,14 +6,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_no_assert_statements():
-    """Validation must not depend on ``assert``, which ``python -O`` strips."""
+def _nodes(exclude: tuple[str, ...] = ()):
+    """(location, node) of every AST node of the package and scripts sources."""
     paths = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("scripts/**/*.py")])
     assert paths
-    found = [
-        f"{path.relative_to(ROOT)}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    for path in paths:
+        name = path.relative_to(ROOT).as_posix()
+        if name not in exclude:
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                yield f"{name}:{getattr(node, 'lineno', 0)}", node
+
+
+def test_no_assert_statements():
+    """Validation must not depend on ``assert``, which ``python -O`` strips."""
+    assert [where for where, node in _nodes() if isinstance(node, ast.Assert)] == []
+
+
+def test_denominators_are_read_only_in_algebra():
+    """``algebra`` is the one place that turns rationals into integers
+    (``clear_rows``) and integral rationals into ``int``; every other module
+    calls it rather than reading a ``.denominator``."""
+    found = [where for where, node in _nodes(exclude=("src/tripos/algebra.py",))
+             if isinstance(node, ast.Attribute) and node.attr == "denominator"]
     assert found == []

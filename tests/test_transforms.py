@@ -90,6 +90,10 @@ class TestWindowSum:
         with pytest.raises(SequenceRangeError):
             window_sum(constant_family(2), 2)
 
+    def test_s_zero_raises(self):
+        with pytest.raises(ValueError, match="s must be a positive integer"):
+            window_sum(constant_family(3), 0)
+
     @pytest.mark.parametrize("s", (1, 2, 3))
     def test_iterated_window_sum_is_transform(self, s):
         # B_n = (W^n f)_0 for the window sum W with the same s: n window sums

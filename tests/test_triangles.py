@@ -329,6 +329,10 @@ class TestRecurrenceMatrix:
         m = recurrence_matrix(ConstParams(1, 1, 0, 1, 1, 1, 0), 3)
         assert m == [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
 
+    def test_size_zero_raises(self):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            recurrence_matrix(ConstParams(1, 1, 0, 1, 1, 1, 0), 0)
+
     def test_band_layout(self):
         p = ConstParams(1, 2, 3, 4, 5, 6, 7)
         m = recurrence_matrix(p, 6)
