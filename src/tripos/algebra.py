@@ -25,6 +25,7 @@ from .records import Record
 ExactRat = int | Fraction
 
 
+# Only bench/tracing.py and tests/test_tracer_names.py use it; it goes with the next bench change.
 def as_fraction(x: ExactRat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -86,10 +87,10 @@ def _strip(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
-class QPoly:
+class QPoly(Record):
     """Immutable dense polynomial in q; ``coeffs[i]`` is the q^i coefficient."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[ExactRat, ...]
 
     def __init__(self, coeffs: Iterable[ExactRat] = ()):
         object.__setattr__(self, "coeffs", _strip(list(coeffs)))
@@ -158,12 +159,6 @@ class QPoly:
         return QPoly([0] * k + list(self.coeffs))
 
     # -- plumbing ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero

@@ -213,27 +213,26 @@ def _divide(a: list[ExactRat], d: Sequence[ExactRat], div) -> list[ExactRat] | N
     nonzero), or ``None`` when it is not exact.  ``div`` divides one
     coefficient by another: ``floordiv`` for ``int`` lists, where a quotient
     that is not an integer is inexact too, or ``truediv`` for ``Fraction``
-    lists.  It costs about len(d) operations per quotient coefficient."""
+    lists.  The quotient is formed from the top degree down, by the leading
+    coefficient of d, so low zeros of d need no shift.  It costs about len(d)
+    operations per quotient coefficient."""
     if not a:
         return a
-    s = _order(d)
-    if any(a[:s]):
-        return None
-    a, d = a[s:], d[s:]
-    lead, tail = d[0], d[1:]
+    *tail, lead = d
     size = len(a) - len(tail)
     if size <= 0:
         return None
-    rest, out = list(a), []
-    for i in range(size):
-        x = div(rest[i], lead)
-        if x * lead != rest[i]:
+    rest, out = list(a), [0] * size
+    for i in reversed(range(size)):
+        top = rest[i + len(tail)]
+        x = div(top, lead)
+        if x * lead != top:
             return None
-        out.append(x)
+        out[i] = x
         if x:
-            for t, y in enumerate(tail, i + 1):
+            for t, y in enumerate(tail, i):
                 rest[t] -= x * y
-    return None if any(rest[size:]) else out
+    return None if any(rest[:len(tail)]) else out
 
 
 def _jacobi(rows: Sequence[Sequence[ExactRat]]) -> Iterator[list[ExactRat]]:

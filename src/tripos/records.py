@@ -9,6 +9,15 @@ print as ``Name(field=value, ...)`` and refuse assignment and deletion,
 as ``@dataclass(frozen=True)`` classes do.  That decorator loads
 ``inspect`` and ``ast`` and compiles six methods of each class from source
 text; a record class imports nothing and compiles only its ``__init__``.
+
+A class that defines its own ``__init__`` keeps it, and sets its fields
+there with ``object.__setattr__``; its fields still come from its
+annotations.  ``algebra.QPoly`` is such a record: its ``__init__`` strips
+trailing zeros, and setting or deleting its ``coeffs`` raises
+``AttributeError`` as for every field.  Records keep their fields in the
+instance ``__dict__``, not in slots: ``copy.copy``, ``copy.deepcopy`` and
+``pickle`` restore a ``__dict__`` without assignment, but would set slots
+through the ``__setattr__`` that refuses it.
 """
 
 
@@ -17,14 +26,16 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
-        # One plain __init__ per class, built from source as the dataclass
-        # decorator and namedtuple build theirs: Python then checks and
-        # reports the arguments as for any function, and each field is set
-        # in field order by attribute assignment, so instances keep
-        # CPython's compact shared-key layout, whose attribute reads are
-        # about twice as fast as those of a filled-in __dict__.
+        # One plain __init__ per class that defines none, built from source
+        # as the dataclass decorator and namedtuple build theirs: Python then
+        # checks and reports the arguments as for any function, and each
+        # field is set in field order by attribute assignment, so instances
+        # keep CPython's compact shared-key layout, whose attribute reads
+        # are about twice as fast as those of a filled-in __dict__.
         super().__init_subclass__(**kwargs)
         fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if "__init__" in cls.__dict__:
+            return
         params = "".join(f", {f}=_cls.{f}" if f in cls.__dict__ else f", {f}" for f in fields)
         body = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
         if hasattr(cls, "__post_init__"):

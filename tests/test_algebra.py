@@ -101,6 +101,15 @@ class TestQPoly:
         for product in (QPoly() * f, f * QPoly(), QPoly() * QPoly()):
             assert product == QPoly.ZERO and product.coeffs == ()
 
+    def test_constants_are_frozen(self):
+        # QPoly.ZERO seeds every transform sum; a write to it would corrupt every later one.
+        for f, coeffs in ((QPoly.ZERO, ()), (QPoly.ONE, (1,))):
+            with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+                f.coeffs = (2,)
+            with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+                del f.coeffs
+            assert f.coeffs == coeffs
+
     def test_pow(self):
         assert (QPoly([1, 1]) ** 4).coeffs == (1, 4, 6, 4, 1)
         assert (QPoly([1, 1]) ** 0) == QPoly.ONE

@@ -506,6 +506,8 @@ VALIDATION_ERRORS = {
                          "thm21 takes a five-term scheme file"),
     "cor22-without-params": (["conditions", "cor22"], None, "cor22 needs --params"),
     "thm34-without-params": (["conditions", "thm34"], None, "thm34 needs --params"),
+    "triangle-non-integer-header": (["check", "--file", "{path}", "rows-log-concave"],
+                                    "# arity=x n_max=1\n1\n1 1\n", "bad triangle header"),
     "scheme-not-json": (SCHEME_FILE_ARGV["generate"], "kind: three-term",
                         "cannot parse the scheme file as JSON"),
     "scheme-unknown-key": (SCHEME_FILE_ARGV["generate"],

@@ -200,6 +200,10 @@ class TestTotalPositivity:
         with pytest.raises(DimensionError):
             is_tp_r([[1, 2], [3, 4, 5]], 2)
 
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            is_tp_r([[1, 2], [3, 4]], 0)
+
     def test_agrees_with_naive_enumerator(self):
         rng = random.Random(1234)
         holds_seen = fails_seen = 0

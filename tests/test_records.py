@@ -1,5 +1,7 @@
 """The value records behave as the frozen dataclasses they replaced."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,10 @@ MOTZKIN = ConstParams(1, 1, 0, 1, 1, 1, 0)
 
 # class, the field values of one instance, the defaults of its trailing
 # fields, a change for replace, a change that __post_init__ rejects (and
-# its error), and the instance's repr as a frozen dataclass printed it.
+# its error), and the instance's repr as a frozen dataclass printed it
+# (QPoly keeps its own __init__ and repr).
 CASES = [
+    (QPoly, ((1, 2),), ((),), {"coeffs": (3,)}, None, "QPoly([1, 2])"),
     (GeqVerdict, (False, 2, Fraction(-1, 3)), (None, None), {"index": 0}, None,
      "GeqVerdict(holds=False, index=2, value=Fraction(-1, 3))"),
     (Triangle, (((1,), (1, 1)), 1), (), {"rows": [[1]]}, ({"arity": 0}, FileFormatError),
@@ -100,6 +104,13 @@ def test_record_behaves_as_frozen_dataclass(cls, args, defaults, change, invalid
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(record, name)
     assert tuple(getattr(record, f) for f in fields) == values
+
+    # copies and pickles restore the fields without assignment
+    for clone in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and clone == record and repr(clone) == expected_repr
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
+            setattr(clone, fields[0], None)
 
     # equal within one class only, and hashed by the tuple of field values
     twin = cls(*args)

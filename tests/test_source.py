@@ -29,3 +29,22 @@ def test_denominators_are_read_only_in_algebra():
     found = [where for where, node in _nodes(exclude=("src/tripos/algebra.py",))
              if isinstance(node, ast.Attribute) and node.attr == "denominator"]
     assert found == []
+
+
+def test_only_record_defines_equality_and_freezing():
+    """``records.Record`` is the one implementation of equality, hashing and
+    frozen fields; every value type inherits them rather than hand-rolling
+    its own."""
+    rules = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+    found = []
+    for where, node in _nodes():
+        if isinstance(node, ast.ClassDef) and node.name != "Record":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+                else:
+                    names = []
+                found += [f"{where} {node.name}.{n}" for n in names if n in rules]
+    assert found == []

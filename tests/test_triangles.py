@@ -60,6 +60,10 @@ class TestBisnomial:
         assert bisnomial(3, 7, 2) == 0
         assert bisnomial(3, 6, 2) == 1
 
+    def test_s_below_one_rejected(self):
+        with pytest.raises(ValueError, match="s must be a positive integer"):
+            bisnomial(1, 0, 0)
+
     @given(st.integers(0, 30), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_symmetry(self, n, s):
@@ -381,6 +385,10 @@ class TestSerialization:
     def test_wrong_width(self):
         with pytest.raises(FileFormatError):
             Triangle.parse("# arity=1 n_max=1\n1\n1 2 3\n")
+
+    def test_non_integer_header(self):
+        with pytest.raises(FileFormatError, match="bad triangle header"):
+            Triangle.parse("# arity=x n_max=1\n1\n1 1\n")
 
     def test_wrong_row_count(self):
         with pytest.raises(FileFormatError):
