@@ -17,10 +17,8 @@ property itself failing.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import floordiv, truediv
 
 from .algebra import ExactRat, QPoly, _shape, clear_rows, det_exact, format_exact, poly_geq_q
 from .errors import SequenceRangeError
@@ -143,20 +141,13 @@ def is_log_convex(s: NumSeq) -> PropertyReport:
 # -- polynomial sequences -----------------------------------------------------
 
 
-def _kronecker(polys: Sequence[QPoly]) -> tuple[list[tuple[int, int]], int, int]:
-    """Pack polynomials for the pair test at the two points +-2^h.
+def _kronecker(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int, int]:
+    """Pack integer coefficient rows for the pair test at the two points +-2^h.
 
-    If any coefficient is not exactly ``int``, every polynomial is first
-    multiplied by D, the least common multiple of all coefficient
-    denominators (:func:`~tripos.algebra.clear_rows` with ``common``).  One
-    common D > 0 scales both products of every pair by D^2, so no
-    coefficient of their difference changes sign.  An all-``int`` sequence is packed as it
-    stands.
-
-    With M the largest scaled coefficient bit-length and L the longest
-    length, every coefficient d_i of a difference of two products lies
-    strictly between -2^b and 2^b for b = 2M + L.bit_length() + 1.  Returns
-    each (scaled) f as the pair (f(beta), f(-beta)) with beta = 2^h and
+    With M the largest coefficient bit-length and L the longest length,
+    every coefficient d_i of a difference of two products lies strictly
+    between -2^b and 2^b for b = 2M + L.bit_length() + 1.  Returns each row
+    f as the pair (f(beta), f(-beta)) with beta = 2^h and
     h = ceil((b + 2) / 2), the guard word G with bit 2h - 1 set in each of
     the L slots of width 2h, and h.  With D+ and D- the difference at beta
     and at -beta, D+ + D- = 2 sum d_2i beta^2i holds the even coefficients
@@ -165,9 +156,6 @@ def _kronecker(polys: Sequence[QPoly]) -> tuple[list[tuple[int, int]], int, int]
     the slot digit 2^(2h-1) + 2 d_i with no borrow into the next slot, so
     its guard bit is set exactly when d_i >= 0.
     """
-    rows = [p.coeffs for p in polys]
-    if any(type(c) is not int for cs in rows for c in cs):
-        rows = clear_rows(rows, common=True)[0]
     bits = max((abs(c).bit_length() for cs in rows for c in cs), default=0)
     length = max(max(map(len, rows)), 1)
     b = 2 * bits + length.bit_length() + 1
@@ -183,13 +171,11 @@ def _kronecker(polys: Sequence[QPoly]) -> tuple[list[tuple[int, int]], int, int]
     return packed, guard, h
 
 
-def _step(a: Sequence[ExactRat], beta: Sequence[ExactRat], x: Sequence[ExactRat],
-          gamma: Sequence[ExactRat] = (), y: Sequence[ExactRat] = ()) -> list[ExactRat]:
+def _step(a: Sequence[int], beta: Sequence[int], x: Sequence[int],
+          gamma: Sequence[int] = (), y: Sequence[int] = ()) -> list[int]:
     """a - beta x - gamma y for coefficient lists, with no trailing zero."""
     out = list(a)
-    pad = max(len(beta) + len(x), len(gamma) + len(y)) - 1 - len(out)
-    if pad > 0:
-        out += [0] * pad
+    out += [0] * (max(len(beta) + len(x), len(gamma) + len(y)) - 1 - len(out))
     for p, z in ((beta, x), (gamma, y)):
         for t, w in enumerate(p):
             if w == 1:
@@ -203,19 +189,17 @@ def _step(a: Sequence[ExactRat], beta: Sequence[ExactRat], x: Sequence[ExactRat]
     return out
 
 
-def _order(p: Sequence[ExactRat]) -> int:
+def _order(p: Sequence[int]) -> int:
     """Index of the lowest nonzero coefficient of a nonzero p."""
     return next(i for i, x in enumerate(p) if x)
 
 
-def _divide(a: list[ExactRat], d: Sequence[ExactRat], div) -> list[ExactRat] | None:
-    """The quotient a / d of coefficient lists with no trailing zero (d
-    nonzero), or ``None`` when it is not exact.  ``div`` divides one
-    coefficient by another: ``floordiv`` for ``int`` lists, where a quotient
-    that is not an integer is inexact too, or ``truediv`` for ``Fraction``
-    lists.  The quotient is formed from the top degree down, by the leading
-    coefficient of d, so low zeros of d need no shift.  It costs about len(d)
-    operations per quotient coefficient."""
+def _divide(a: list[int], d: Sequence[int]) -> list[int] | None:
+    """The quotient a / d of integer coefficient lists with no trailing zero
+    (d nonzero), or ``None`` when it leaves a remainder or has a coefficient
+    that is not an integer.  The quotient is formed from the top degree
+    down, by the leading coefficient of d, so low zeros of d need no shift.
+    It costs about len(d) operations per quotient coefficient."""
     if not a:
         return a
     *tail, lead = d
@@ -225,7 +209,7 @@ def _divide(a: list[ExactRat], d: Sequence[ExactRat], div) -> list[ExactRat] | N
     rest, out = list(a), [0] * size
     for i in reversed(range(size)):
         top = rest[i + len(tail)]
-        x = div(top, lead)
+        x = top // lead
         if x * lead != top:
             return None
         out[i] = x
@@ -235,10 +219,10 @@ def _divide(a: list[ExactRat], d: Sequence[ExactRat], div) -> list[ExactRat] | N
     return None if any(rest[:len(tail)]) else out
 
 
-def _jacobi(rows: Sequence[Sequence[ExactRat]]) -> Iterator[list[ExactRat]]:
+def _jacobi(rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """The Jacobi continued fraction of the moments rows[0], rows[1], ...
-    (coefficient lists with no trailing zero, rows[0] = [c] with c > 0): one
-    entry of J per row from row 1 on, beta_k from row 2k + 1 and
+    (integer coefficient lists with no trailing zero, rows[0] = [c] with
+    c > 0): one entry of J per row from row 1 on, beta_k from row 2k + 1 and
     gamma_{k+1} from row 2k + 2.
 
     J is the production matrix of the Stieltjes table L: L[n][0] = rows[n],
@@ -254,18 +238,16 @@ def _jacobi(rows: Sequence[Sequence[ExactRat]]) -> Iterator[list[ExactRat]]:
     whose quotient is short.  So a walk that stops at row r has read no
     later row and filled O(r^2) entries.
 
-    The walk ends at the first division with a remainder; for all-``int``
-    rows, at a quotient that is not an integer too.  Other rows are made
-    ``Fraction`` first, so that no ``int`` is divided by an ``int``.  An
-    exact gamma_{k+1} = 0 ends J after beta_k.  A later row is a moment of
+    The walk ends at the first division that :func:`_divide` cannot make in
+    integers: one with a remainder or with a quotient that is not an
+    integer.  Rational moments are cleared by one common multiplier first
+    (:func:`_check_pairs`); scaling every moment by one constant leaves J
+    unchanged, so this loses no J that is integral.  An exact
+    gamma_{k+1} = 0 ends J after beta_k.  A later row is a moment of
     that finite J exactly when its M in column k + 1 is zero; it then yields
     a zero entry, since the entries past the end of J may be taken as 0, and
     the walk ends at the first row that is not.
     """
-    if all(type(x) is int for row in rows for x in row):
-        div = floordiv
-    else:
-        rows, div = [[Fraction(x) for x in row] for row in rows], truediv
     betas, gammas = [], [()]  # gammas[i] is gamma_i; gamma_0 is never read
     older, old = [], [rows[0]]  # anti-diagonals j - 2 and j - 1
     end = None  # k once gamma_{k+1} = 0
@@ -281,7 +263,7 @@ def _jacobi(rows: Sequence[Sequence[ExactRat]]) -> Iterator[list[ExactRat]]:
                 return
             entry = last
         else:
-            entry = _divide(last, old[top] if j % 2 else older[top], div)
+            entry = _divide(last, old[top] if j % 2 else older[top])
             if entry is None:
                 return
             if j % 2:
@@ -296,9 +278,10 @@ def _jacobi(rows: Sequence[Sequence[ExactRat]]) -> Iterator[list[ExactRat]]:
         older, old = old, new
 
 
-def _jfraction_depth(polys: Sequence[QPoly]) -> int:
+def _jfraction_depth(rows: Sequence[Sequence[int]]) -> int:
     """A proof of the pairs R_{n-1} R_{m+1} >=_q R_n R_m with m + 1 <= 2K + 1
-    of the rows R_0..R_N, by their Jacobi continued fraction.
+    of the rows R_0..R_N, integer coefficient lists, by their Jacobi
+    continued fraction.
 
     Returns the depth K: the largest K for which R_0..R_min(2K+1, N) are the
     moments of a coefficientwise TP2 tridiagonal J whose entries past beta_K
@@ -320,7 +303,6 @@ def _jfraction_depth(polys: Sequence[QPoly]) -> int:
     beta_{K-1} != 0 has its lowest nonzero coefficient at a power of q no
     higher than gamma_K's: take gamma_K / (that coefficient), shifted down.
     """
-    rows = [p.coeffs for p in polys]
     if len(rows[0]) != 1 or rows[0][0] <= 0:
         return -1
     depth, proved, beta, gamma = -1, 0, None, []
@@ -342,10 +324,10 @@ def _jfraction_depth(polys: Sequence[QPoly]) -> int:
     return depth
 
 
-def _certificate_pays(polys: Sequence[QPoly]) -> bool:
+def _certificate_pays(rows: Sequence[Sequence[int]]) -> bool:
     """Whether to run :func:`_jfraction_depth` before the packed scan: when
-    rows x bits >= 3072, with bits the length of the integer part of the
-    largest |coefficient| of the last row (the largest of a triangle, and
+    rows x bits >= 3072, with bits the bit length of the largest
+    |coefficient| of the last integer row (the largest of a triangle, and
     cheap to find).  The scan forms about N^2/2 products of integers about
     L x bits wide (L the longest polynomial), whose cost grows faster than
     linearly in bits; the certificate makes about N^2/4 short sums of L
@@ -353,8 +335,7 @@ def _certificate_pays(polys: Sequence[QPoly]) -> bool:
     scaled by 2^64 and 2^256, the certificate is the faster one from about
     750 to 1500 on, and from about 3000 on it takes at most about half the
     time of the scan."""
-    top = max(map(abs, polys[-1].coeffs), default=0)
-    return len(polys) * int(top).bit_length() >= 3072
+    return len(rows) * max(map(abs, rows[-1]), default=0).bit_length() >= 3072
 
 
 def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> PropertyReport:
@@ -364,6 +345,14 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     for all pairs m >= n with both ends inside the data window; the weak
     variants restrict to m == n.  Pairs are scanned in lexicographic (n, m)
     order so the reported witness is the least failure.
+
+    The coefficient rows are made integers once: if any coefficient is not
+    exactly ``int``, every polynomial is multiplied by D, the least common
+    multiple of all coefficient denominators
+    (:func:`~tripos.algebra.clear_rows` with ``common``).  One common D > 0
+    scales both products of every pair by D^2, so no coefficient of their
+    difference changes sign.  The route, the certificate and the packing all
+    read these rows.
 
     Pairs are decided on integers packed at +-2^h (see :func:`_kronecker`):
     each product is two half-width integer products, one per point, and a
@@ -381,12 +370,15 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     """
     polys = ps.polys
     lo, hi = ps.offset, ps.offset + len(polys) - 1
+    rows = [p.coeffs for p in polys]
+    if any(type(c) is not int for cs in rows for c in cs):
+        rows = clear_rows(rows, common=True)[0]
     first = 0
-    if convex and not adjacent_only and _certificate_pays(polys):
-        first = 2 * _jfraction_depth(polys) + 1
+    if convex and not adjacent_only and _certificate_pays(rows):
+        first = 2 * _jfraction_depth(rows) + 1
     if first >= len(polys) - 1:
         return PropertyReport(prop, (lo, hi), HOLDS)
-    packed, guard, h = _kronecker(polys)
+    packed, guard, h = _kronecker(rows)
     odd_guard = guard << h
     carried: dict[int, tuple[int, int]] = {}
     for ni in range(1, len(polys) - 1):
@@ -440,7 +432,10 @@ def is_q_log_concave(ps: PolySeq) -> PropertyReport:
 
 
 def toeplitz(s: NumSeq, size: int) -> list[list[ExactRat]]:
-    """Lower-triangular Toeplitz window: entry (i, j) = a_{i-j} for i >= j."""
+    """Lower-triangular Toeplitz window: entry (i, j) = a_{i-j} for i >= j.
+    A size below 1 raises ``ValueError``."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
     if size > len(s):
         raise SequenceRangeError(
             f"toeplitz window {size} needs index {size - 1}, "
@@ -451,7 +446,10 @@ def toeplitz(s: NumSeq, size: int) -> list[list[ExactRat]]:
 
 
 def hankel(s: NumSeq, size: int) -> list[list[ExactRat]]:
-    """Hankel window: entry (i, j) = a_{i+j}; needs indices up to 2*size - 2."""
+    """Hankel window: entry (i, j) = a_{i+j}; needs indices up to 2*size - 2.
+    A size below 1 raises ``ValueError``."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
     if 2 * size - 1 > len(s):
         raise SequenceRangeError(
             f"hankel window {size} needs index {2 * size - 2}, "

@@ -66,19 +66,26 @@ class BilinearForm(Record):
         return "".join(f"{i} {j} {c}\n" for (i, j), c in self.terms)
 
 
-def bisnomial_transform(ps: PolySeq, s: int, n_max: int) -> PolySeq:
-    """B_n = sum_{k=0}^{s n} binom(n, k)_s f_k for n = 0..n_max.
-
-    An n_max below 0, which would leave no output, or an s below 1 raises ``ValueError``.
-    """
+def _check_transform_args(ps: PolySeq, s: int, n_max: int) -> None:
+    """Raise ``ValueError`` for an n_max below 0, which would leave no
+    output, or an s below 1, and ``SequenceRangeError`` when ``ps`` has
+    fewer than s n_max + 1 polynomials."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if s < 1:
+        raise ValueError("s must be a positive integer")
     needed = s * n_max + 1
     if len(ps) < needed:
         raise SequenceRangeError(
             f"transform up to n={n_max} with s={s} needs {needed} input "
             f"polynomials, got {len(ps)}"
         )
+
+
+def bisnomial_transform(ps: PolySeq, s: int, n_max: int) -> PolySeq:
+    """B_n = sum_{k=0}^{s n} binom(n, k)_s f_k for n = 0..n_max, with the
+    argument checks of :func:`_check_transform_args`."""
+    _check_transform_args(ps, s, n_max)
     polys = ps.polys
     rows = from_bisnomial(s, n_max).rows
     out = []
@@ -155,9 +162,13 @@ def check_preservation(ps: PolySeq, s: int, n_max: int, direction: str) -> Prese
     """Gate the input, transform it, and check the output property.
 
     ``direction`` is ``"convex"`` or ``"concave"`` (strong q-log-variants).
+    The arguments are checked (:func:`_check_transform_args`) before the
+    gate, so a request that the input cannot meet raises, whatever the
+    gate would say.
     """
     if direction not in ("convex", "concave"):
         raise ValueError("direction must be 'convex' or 'concave'")
+    _check_transform_args(ps, s, n_max)
     checker = is_strongly_q_log_convex if direction == "convex" else is_strongly_q_log_concave
     gate = checker(ps)
     if not gate.holds:

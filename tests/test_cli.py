@@ -313,6 +313,16 @@ class TestTransform:
         assert code == 3
         assert report["reports"][0]["verdict"] == "inapplicable"
 
+    @pytest.mark.parametrize("text", ["1\n0 1\n1\n", "1\n1\n1\n"], ids=["gate-fails", "gate-holds"])
+    def test_short_input_exit2_whatever_the_gate(self, capsys, tmp_path, text):
+        path = tmp_path / "three.txt"
+        path.write_text(text)
+        code, report, err = run(capsys, "transform", str(path), "--s", "2",
+                                "--n-max", "100", "--direction", "convex")
+        assert code == 2
+        assert report is None
+        assert "needs 201 input polynomials, got 3" in err
+
     def test_non_utf8_file_exit2(self, capsys, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"1\n1 \xe9\n")

@@ -171,6 +171,14 @@ class TestStructuredMatrices:
         with pytest.raises(SequenceRangeError):
             hankel(NumSeq((1, 2, 3)), 3)
 
+    @pytest.mark.parametrize("size", (0, -1))
+    def test_window_below_size_one(self, size):
+        s = NumSeq((1, 2, 3))
+        for window in (lambda: toeplitz(s, size), lambda: hankel(s, size),
+                       lambda: is_pf_r(s, 2, size)):
+            with pytest.raises(ValueError, match="size must be >= 1"):
+                window()
+
 
 class TestTotalPositivity:
     def test_pascal_matrix_tp3(self):
@@ -765,14 +773,15 @@ def test_kronecker_width_bounds_extreme_differences(length, bits):
     # even L.  Every slot of both guarded words must read 2^(2h-1) + 2 d_i
     # exactly, with nothing above the last slot: a borrow or a carry between
     # slots would change a digit.  The Fraction case, top/D with D a prime
-    # near 10^6, packs its polynomials times D: the same integers, so the
+    # near 10^6, clears to its polynomials times D: the same integers, so the
     # same bound is checked.
     top = 2**bits - 1
     polys = (QPoly([top] * length), QPoly([-top] * length))
     worst = polys[0] * polys[0] - polys[0] * polys[1]
     assert max(worst.coeffs) == 2 * length * top * top
     for scale in (1, Fraction(1, 999983)):
-        packed, guard, h = _kronecker([scale * p for p in polys])
+        packed, guard, h = _kronecker(clear_rows([(scale * p).coeffs for p in polys],
+                                                 common=True)[0])
         slot = 2 ** (2 * h)
         assert packed == [tuple(sum(c * x**i for i, c in enumerate(p.coeffs))
                                 for x in (2**h, -2**h)) for p in polys]
@@ -824,13 +833,26 @@ def rowgens(name, n_max):
     return tuple(row_polys(build_preset(name, n_max)))
 
 
+def coeff_rows(polys):
+    return [p.coeffs for p in polys]
+
+
 def jacobi_entries(polys):
-    return list(properties._jacobi([p.coeffs for p in polys]))
+    return list(properties._jacobi(coeff_rows(polys)))
+
+
+def jfraction_depth(polys):
+    return properties._jfraction_depth(coeff_rows(polys))
 
 
 def always_certify():
     """Route every strong convex scan through the certificate, whatever its size."""
-    return mock.patch.object(properties, "_certificate_pays", lambda polys: True)
+    return mock.patch.object(properties, "_certificate_pays", lambda rows: True)
+
+
+def scan_only():
+    """Decide every strong convex scan by the packed scan alone."""
+    return mock.patch.object(properties, "_certificate_pays", lambda rows: False)
 
 
 def test_motzkin_certificate_forms_no_packed_product(monkeypatch):
@@ -838,9 +860,9 @@ def test_motzkin_certificate_forms_no_packed_product(monkeypatch):
     entries = jacobi_entries(polys)
     assert entries[0::2] == [[1, 1]] + [[1]] * 19  # beta_0 .. beta_19
     assert entries[1::2] == [[1]] * 20  # gamma_1 .. gamma_20
-    assert properties._jfraction_depth(polys) == 20
+    assert jfraction_depth(polys) == 20
 
-    def no_packing(polys):
+    def no_packing(rows):
         raise AssertionError("the scan packed a sequence the certificate proves")
 
     monkeypatch.setattr(properties, "_kronecker", no_packing)
@@ -860,31 +882,69 @@ def test_stirling2_jacobi_entries():
 
 @pytest.mark.parametrize("polys", [
     rowgens("pascal", 30),
-    tuple(Fraction(3, 7) ** k * QPoly([1, 1]) ** k for k in range(31)),
-], ids=["pascal", "rational-powers"])
+    tuple(3**k * QPoly([1, 1]) ** k for k in range(31)),
+], ids=["pascal", "integer-powers"])
 def test_finite_jfraction_proves_every_pair(polys):
     # R_0 = 1, beta_0 = R_1, and gamma_1 = 0 ends J; every later row is one of its moments
     entries = jacobi_entries(polys)
     assert entries[0] == list(polys[1].coeffs)
     assert entries[1:] == [[]] * 29
-    assert 2 * properties._jfraction_depth(polys) + 1 >= 30
+    assert 2 * jfraction_depth(polys) + 1 >= 30
     # a row that is no moment of it ends the proof at the row before
     broken = polys[:20] + (polys[20] + QPoly([1]),) + polys[21:]
-    assert properties._jfraction_depth(broken) == 9
+    assert jfraction_depth(broken) == 9
+
+
+def test_rational_rows_reach_the_certificate_as_integers(monkeypatch):
+    # Motzkin rows times 2^120/3 clear to the Motzkin rows times 2^120, whose
+    # J is Motzkin's: depth 15 proves every pair of rows 0..30 without a scan.
+    polys = tuple(Fraction(2**120, 3) * p for p in rowgens("motzkin", 30))
+    assert properties._certificate_pays(clear_rows(coeff_rows(polys), common=True)[0])
+    seen = []
+    divide = properties._divide
+
+    def spy(a, d):
+        seen.extend(map(type, [*a, *d]))
+        return divide(a, d)
+
+    def no_packing(rows):
+        raise AssertionError("the scan packed a sequence the certificate proves")
+
+    monkeypatch.setattr(properties, "_divide", spy)
+    monkeypatch.setattr(properties, "_kronecker", no_packing)
+    report = is_strongly_q_log_convex(PolySeq(polys))
+    assert report == PropertyReport("strongly-q-log-convex", (0, 30), HOLDS)
+    assert seen and set(seen) == {int}
+
+
+@pytest.mark.parametrize("rows", [31, 50])
+def test_rational_j_is_left_to_the_scan(rows):
+    # (3/7)^k (1+q)^k, k <= N, clears to 3^k 7^(N-k) (1+q)^k, whose beta_0 = 3/7 (1+q)
+    # is no integer polynomial: the certificate proves nothing, and the scan
+    # gives the verdict, whichever route is taken.
+    polys = tuple(Fraction(3, 7) ** k * QPoly([1, 1]) ** k for k in range(rows))
+    cleared = clear_rows(coeff_rows(polys), common=True)[0]
+    assert properties._jfraction_depth(cleared) == -1
+    assert properties._certificate_pays(cleared) == (rows == 50)  # 31 x 75 and 50 x 124 bits
+    with scan_only():
+        expected = is_strongly_q_log_convex(PolySeq(polys))
+    assert expected == PropertyReport("strongly-q-log-convex", (0, rows - 1), HOLDS)
+    assert is_strongly_q_log_convex(PolySeq(polys)) == expected
+    with always_certify():
+        assert is_strongly_q_log_convex(PolySeq(polys)) == expected
 
 
 @pytest.mark.parametrize("rows, depth", [
     ([[1], [0, 1], [1, 0, 1]], 0),  # gamma_1 = 1, but no beta_1 >= 0 with q beta_1 >= 1
     ([[1], [1, 1], [1, 3, 1]], 1),  # gamma_1 = q: beta_1 = q will do
-    ([[2], [1], []], -1),  # beta_0 = 1/2 is no integer, so int rows stop there
-    ([[Fraction(2)], [1], []], 0),  # as Fractions, gamma_1 = -1/4 < 0
+    ([[2], [1], []], -1),  # beta_0 = 1/2 is no integer, so the walk stops there
+    ([[3]], 0),
     ([[1], [-1], [1]], -1),  # beta_0 = -1
     ([[1, 1], [1]], -1),  # R_0 is not a constant
     ([[], [1]], -1),
-    ([[3]], 0),
 ])
 def test_jfraction_depth_of_short_sequences(rows, depth):
-    assert properties._jfraction_depth([QPoly(r) for r in rows]) == depth
+    assert properties._jfraction_depth(rows) == depth
 
 
 @st.composite
@@ -919,7 +979,7 @@ def test_certificate_skips_only_pairs_that_hold():
     proved = 0
     for p in tuples[:2000]:
         polys = row_polys(from_const_params(ConstParams(*p), 12))
-        depth = properties._jfraction_depth(polys)
+        depth = jfraction_depth(polys)
         if depth > 0:
             assert naive_first_failing_pair(polys[:2 * depth + 2], True, False) is None, p
             proved += 1

@@ -31,6 +31,19 @@ def test_denominators_are_read_only_in_algebra():
     assert found == []
 
 
+def test_fractions_are_imported_only_in_algebra():
+    """``algebra`` is the one module that works in ``Fraction`` itself; every
+    other module clears to integers through it (``clear_rows``) or keeps the
+    values it is given."""
+    found = []
+    for where, node in _nodes(exclude=("src/tripos/algebra.py",)):
+        if isinstance(node, ast.Import):
+            found += [where for alias in node.names if alias.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(where)
+    assert found == []
+
+
 def test_only_record_defines_equality_and_freezing():
     """``records.Record`` is the one implementation of equality, hashing and
     frozen fields; every value type inherits them rather than hand-rolling

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from helpers import gaussian_binomial, naive_minor_form
+from tripos import transforms
 from tripos.algebra import QPoly
 from tripos.errors import SequenceRangeError
 from tripos.properties import (
@@ -195,3 +196,20 @@ class TestPreservation:
     def test_direction_validated(self):
         with pytest.raises(ValueError):
             check_preservation(constant_family(5), 1, 2, "sideways")
+
+    @pytest.mark.parametrize("s, n_max, error", [
+        (2, 100, SequenceRangeError),  # needs 201 input polynomials
+        (1, -1, ValueError),
+        (0, 2, ValueError),
+    ])
+    def test_arguments_checked_before_the_gate(self, s, n_max, error, monkeypatch):
+        # the input fails the convex gate; the request is refused before it runs
+        ps = PolySeq((QPoly([1]), QPoly([1, 1]), QPoly([1]), QPoly([1])))
+        assert check_preservation(ps, 1, 2, "convex").verdict == INAPPLICABLE
+
+        def no_gate(ps):
+            raise AssertionError("the gate ran on a request that cannot be met")
+
+        monkeypatch.setattr(transforms, "is_strongly_q_log_convex", no_gate)
+        with pytest.raises(error):
+            check_preservation(ps, s, n_max, "convex")
