@@ -938,10 +938,11 @@ def test_rational_j_is_left_to_the_scan(rows):
     ([[1], [0, 1], [1, 0, 1]], 0),  # gamma_1 = 1, but no beta_1 >= 0 with q beta_1 >= 1
     ([[1], [1, 1], [1, 3, 1]], 1),  # gamma_1 = q: beta_1 = q will do
     ([[2], [1], []], -1),  # beta_0 = 1/2 is no integer, so the walk stops there
-    ([[3]], 0),
+    ([[1], [1], []], 0),  # beta_0 = 1, but gamma_1 = -1 < 0
     ([[1], [-1], [1]], -1),  # beta_0 = -1
     ([[1, 1], [1]], -1),  # R_0 is not a constant
     ([[], [1]], -1),
+    ([[3]], 0),
 ])
 def test_jfraction_depth_of_short_sequences(rows, depth):
     assert properties._jfraction_depth(rows) == depth
