@@ -285,7 +285,9 @@ def _jfraction_depth(rows: Sequence[Sequence[int]]) -> int:
 
     Returns the depth K: the largest K for which R_0..R_min(2K+1, N) are the
     moments of a coefficientwise TP2 tridiagonal J whose entries past beta_K
-    are 0; or -1 when R_0 is not a positive constant.  J is that of
+    are 0; or -1 when R_0 is not a positive constant, or when
+    beta_0 = R_1 / R_0 is not an integer polynomial >=_q 0, as for
+    ``[[2], [1], []]``.  J is that of
     :func:`_jacobi`, cut after beta_K, which keeps the moments up to
     R_{2K+1}.  Its only 2x2 minors that can be negative are
     beta_{k-1} beta_k - gamma_k, so J is TP2 when these and every beta_k and
@@ -324,20 +326,6 @@ def _jfraction_depth(rows: Sequence[Sequence[int]]) -> int:
     return depth
 
 
-def _certificate_pays(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether to run :func:`_jfraction_depth` before the packed scan: when
-    rows x bits >= 3072, with bits the bit length of the largest
-    |coefficient| of the last integer row (the largest of a triangle, and
-    cheap to find).  The scan forms about N^2/2 products of integers about
-    L x bits wide (L the longest polynomial), whose cost grows faster than
-    linearly in bits; the certificate makes about N^2/4 short sums of L
-    coefficients.  Measured on the seven three-term presets and on copies
-    scaled by 2^64 and 2^256, the certificate is the faster one from about
-    750 to 1500 on, and from about 3000 on it takes at most about half the
-    time of the scan."""
-    return len(rows) * max(map(abs, rows[-1]), default=0).bit_length() >= 3072
-
-
 def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> PropertyReport:
     """Shared engine for the (strong) q-log-convexity/-concavity checks.
 
@@ -351,8 +339,8 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     multiple of all coefficient denominators
     (:func:`~tripos.algebra.clear_rows` with ``common``).  One common D > 0
     scales both products of every pair by D^2, so no coefficient of their
-    difference changes sign.  The route, the certificate and the packing all
-    read these rows.
+    difference changes sign.  The certificate and the packing both read
+    these rows.
 
     Pairs are decided on integers packed at +-2^h (see :func:`_kronecker`):
     each product is two half-width integer products, one per point, and a
@@ -363,10 +351,11 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     inner products, at both points, are carried into the next row; only the
     previous and the current row are kept.
 
-    The strong convex check first runs :func:`_jfraction_depth` when
-    :func:`_certificate_pays`, and scans only the pairs with m + 1 > 2K + 1
-    that its depth K leaves, in the same order.  Every skipped pair holds,
-    so the first failure scanned is still the least one.
+    The strong convex check first runs :func:`_jfraction_depth`, on every
+    sequence, and scans only the pairs with m + 1 > 2K + 1 that its depth K
+    leaves, in the same order.  Every skipped pair holds, so the first
+    failure scanned is still the least one.  The walk stops at the first
+    entry of J that fails, so a sequence that fails early costs it little.
     """
     polys = ps.polys
     lo, hi = ps.offset, ps.offset + len(polys) - 1
@@ -374,7 +363,7 @@ def _check_pairs(ps: PolySeq, prop: str, convex: bool, adjacent_only: bool) -> P
     if any(type(c) is not int for cs in rows for c in cs):
         rows = clear_rows(rows, common=True)[0]
     first = 0
-    if convex and not adjacent_only and _certificate_pays(rows):
+    if convex and not adjacent_only:
         first = 2 * _jfraction_depth(rows) + 1
     if first >= len(polys) - 1:
         return PropertyReport(prop, (lo, hi), HOLDS)

@@ -5,7 +5,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -845,14 +844,8 @@ def jfraction_depth(polys):
     return properties._jfraction_depth(coeff_rows(polys))
 
 
-def always_certify():
-    """Route every strong convex scan through the certificate, whatever its size."""
-    return mock.patch.object(properties, "_certificate_pays", lambda rows: True)
-
-
-def scan_only():
-    """Decide every strong convex scan by the packed scan alone."""
-    return mock.patch.object(properties, "_certificate_pays", lambda rows: False)
+def no_packing(rows):
+    raise AssertionError("the scan packed a sequence the certificate proves")
 
 
 def test_motzkin_certificate_forms_no_packed_product(monkeypatch):
@@ -861,17 +854,37 @@ def test_motzkin_certificate_forms_no_packed_product(monkeypatch):
     assert entries[0::2] == [[1, 1]] + [[1]] * 19  # beta_0 .. beta_19
     assert entries[1::2] == [[1]] * 20  # gamma_1 .. gamma_20
     assert jfraction_depth(polys) == 20
-
-    def no_packing(rows):
-        raise AssertionError("the scan packed a sequence the certificate proves")
-
     monkeypatch.setattr(properties, "_kronecker", no_packing)
-    with always_certify():
-        report = is_strongly_q_log_convex(PolySeq(polys))
+    report = is_strongly_q_log_convex(PolySeq(polys))
     assert report == PropertyReport("strongly-q-log-convex", (0, 40), HOLDS)
-    # 61 rows x 89 bits = 5429 >= 3072: the route takes the certificate itself
-    report = is_strongly_q_log_convex(PolySeq(rowgens("motzkin", 60)))
-    assert report == PropertyReport("strongly-q-log-convex", (0, 60), HOLDS)
+    # 31 rows of at most 43 bits: a small sequence takes the certificate first too
+    polys = rowgens("motzkin", 30)
+    assert max(abs(c).bit_length() for p in polys for c in p.coeffs) == 43
+    report = is_strongly_q_log_convex(PolySeq(polys))
+    assert report == PropertyReport("strongly-q-log-convex", (0, 30), HOLDS)
+
+
+def test_early_failure_runs_no_deep_certificate(monkeypatch):
+    # R_2 = 2 + 2q + q^2 lowered to 1 + 2q + q^2 = R_1^2 makes gamma_1 = 0, and
+    # R_3 is no moment of that finite J: the certificate proves no pair and
+    # stops at row 3 (3 steps), and the scan finds the least failure.
+    polys = list(rowgens("motzkin", 40))
+    polys[2] = polys[2] - QPoly([1])
+    expected = naive_first_failing_pair(polys, True, False)
+    assert expected == (3, 3, 0, -7)
+    steps = []
+    step = properties._step
+
+    def spy(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(properties, "_step", spy)
+    report = is_strongly_q_log_convex(PolySeq(tuple(polys)))
+    n, m, index, coeff = expected
+    witness = {"n": n, "m": m, "coeff_index": index, "coeff": coeff}
+    assert report == PropertyReport("strongly-q-log-convex", (0, 40), FAILS, witness=witness)
+    assert len(steps) <= 10
 
 
 def test_stirling2_jacobi_entries():
@@ -899,16 +912,12 @@ def test_rational_rows_reach_the_certificate_as_integers(monkeypatch):
     # Motzkin rows times 2^120/3 clear to the Motzkin rows times 2^120, whose
     # J is Motzkin's: depth 15 proves every pair of rows 0..30 without a scan.
     polys = tuple(Fraction(2**120, 3) * p for p in rowgens("motzkin", 30))
-    assert properties._certificate_pays(clear_rows(coeff_rows(polys), common=True)[0])
     seen = []
     divide = properties._divide
 
     def spy(a, d):
         seen.extend(map(type, [*a, *d]))
         return divide(a, d)
-
-    def no_packing(rows):
-        raise AssertionError("the scan packed a sequence the certificate proves")
 
     monkeypatch.setattr(properties, "_divide", spy)
     monkeypatch.setattr(properties, "_kronecker", no_packing)
@@ -921,17 +930,13 @@ def test_rational_rows_reach_the_certificate_as_integers(monkeypatch):
 def test_rational_j_is_left_to_the_scan(rows):
     # (3/7)^k (1+q)^k, k <= N, clears to 3^k 7^(N-k) (1+q)^k, whose beta_0 = 3/7 (1+q)
     # is no integer polynomial: the certificate proves nothing, and the scan
-    # gives the verdict, whichever route is taken.
+    # gives the verdict of the reference.
     polys = tuple(Fraction(3, 7) ** k * QPoly([1, 1]) ** k for k in range(rows))
     cleared = clear_rows(coeff_rows(polys), common=True)[0]
     assert properties._jfraction_depth(cleared) == -1
-    assert properties._certificate_pays(cleared) == (rows == 50)  # 31 x 75 and 50 x 124 bits
-    with scan_only():
-        expected = is_strongly_q_log_convex(PolySeq(polys))
-    assert expected == PropertyReport("strongly-q-log-convex", (0, rows - 1), HOLDS)
-    assert is_strongly_q_log_convex(PolySeq(polys)) == expected
-    with always_certify():
-        assert is_strongly_q_log_convex(PolySeq(polys)) == expected
+    assert naive_first_failing_pair(polys, True, False) is None
+    report = is_strongly_q_log_convex(PolySeq(polys))
+    assert report == PropertyReport("strongly-q-log-convex", (0, rows - 1), HOLDS)
 
 
 @pytest.mark.parametrize("rows, depth", [
@@ -961,8 +966,7 @@ def lowered_presets(draw):
 @given(lowered_presets())
 @settings(max_examples=150, deadline=None)
 def test_certified_scan_matches_reference_on_lowered_presets(polys):
-    with always_certify():
-        report = is_strongly_q_log_convex(PolySeq(tuple(polys)))
+    report = is_strongly_q_log_convex(PolySeq(tuple(polys)))
     expected = naive_first_failing_pair(polys, True, False)
     window = (0, len(polys) - 1)
     if expected is None:
