@@ -141,6 +141,9 @@ def load_scheme_file(path: str) -> tuple[str, dict]:
     kind = data.get("kind")
     if kind not in tuple(SCHEME_KINDS):
         raise FileFormatError("scheme file needs \"kind\": \"three-term\" or \"five-term\"")
+    for key in data:
+        if key != "kind" and key not in SCHEME_KINDS[kind][1]:
+            raise FileFormatError(f"unknown key {key!r} in a {kind} scheme file")
     schemes = {}
     for name in SCHEME_KINDS[kind][1]:
         if name not in data:

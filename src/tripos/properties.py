@@ -463,30 +463,33 @@ def _extension_index(ncols: int, j: int) -> tuple[list[tuple[int, ...]], list[li
     return subsets, ext
 
 
-def _extend(a: list[int], ext: list[list], table: list[int], size: int) -> list[int]:
-    """The ``size`` j-minors of the rows behind ``table`` (their (j-1)-minors,
-    by rank) plus row ``a``: each nonzero (j-1)-minor y on columns S adds
-    ±a[c]*y to the minor on S + {c}, for each c outside S with a[c] != 0."""
-    out = [0] * size
+def _extend(a: Sequence, ext: list[list], table: list, size: int) -> list:
+    """The ``size`` j-minors (``int`` or ``QPoly``) of the rows behind ``table``
+    (their (j-1)-minors, by rank) plus row ``a``: each nonzero (j-1)-minor y on
+    columns S adds ±a[c]*y to the minor on S + {c}, for each c outside S with a[c] != 0."""
+    out = [a[0] * 0] * size
     for s, y in enumerate(table):
         if y:
             for c, t, neg in ext[s]:
                 x = a[c]
                 if x:
-                    out[t] += x * (-y if neg else y)
+                    if neg:
+                        out[t] -= x * y
+                    else:
+                        out[t] += x * y
     return out
 
 
-def _first_negative_minor(
-    rows: list[list[int]], ncols: int, r: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Row and column subsets of the least negative minor of order <= r, by
-    (order, rows, cols), or ``None``.
+def _first_negative_minor(rows: Sequence[Sequence], ncols: int, r: int,
+                          low: Callable | None = None) -> tuple | None:
+    """Row and column subsets of the least failing minor of order <= r, by
+    (order, rows, cols), and that minor; or ``None``.  A minor fails when
+    ``low`` of it is negative; by default ``low`` is the minor itself.
 
     One depth-first walk by prefix visits the row subsets of each size in
     lexicographic order.  A node of j rows checks its j-minors over every
     column j-subset, by rank, extended from its parent's by :func:`_extend`.
-    A negative minor at depth d is recorded with its first negative column
+    A failing minor at depth d is recorded with its first failing column
     subset; the walk then skips depths >= d but finishes the shallower ones,
     where a failure replaces it.  Each depth's :func:`_extension_index` is
     built when the walk first gets there; only the current prefix's tables
@@ -494,7 +497,7 @@ def _first_negative_minor(
     nrows, index = len(rows), [None]
     found, limit = None, r
 
-    def walk(start: int, chosen: tuple[int, ...], table: list[int]):
+    def walk(start: int, chosen: tuple[int, ...], table: list):
         nonlocal found, limit
         depth = len(chosen) + 1
         if depth == len(index):
@@ -502,9 +505,10 @@ def _first_negative_minor(
         subsets, ext = index[depth]
         for i in range(start, nrows):
             minors = _extend(rows[i], ext, table, len(subsets))
-            if min(minors) < 0:
-                first = next(t for t, minor in enumerate(minors) if minor < 0)
-                found, limit = (chosen + (i,), subsets[first]), depth - 1
+            keys = minors if low is None else list(map(low, minors))
+            if min(keys) < 0:
+                first = next(t for t, key in enumerate(keys) if key < 0)
+                found, limit = (chosen + (i,), subsets[first], minors[first]), depth - 1
                 return
             if depth < limit and i + 1 < nrows:
                 walk(i + 1, chosen + (i,), minors)
@@ -577,7 +581,7 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     certified = nrows == ncols and _totally_nonnegative(cleared)
     found = None if certified else _first_negative_minor(cleared, ncols, r_eff)
     if found:
-        rows, cols = found
+        rows, cols, _ = found
         minor = det_exact([[matrix[i][j] for j in cols] for i in rows])
         return PropertyReport(
             "totally-positive", (1, r_eff), FAILS,
@@ -595,22 +599,17 @@ def is_pf_r(s: NumSeq, r: int, window: int) -> PropertyReport:
 
 
 def is_q_tp2(matrix: Sequence[Sequence[QPoly]]) -> PropertyReport:
-    """Every 2x2 minor of a polynomial matrix is >=_q 0; a ragged matrix
-    raises ``DimensionError``."""
+    """Every minor of order <= 2 of a polynomial matrix is >=_q 0, by :func:`_first_negative_minor`
+    with each minor's least coefficient as ``low``; the witness is the least failing minor's first
+    negative coefficient.  A ragged matrix raises ``DimensionError``."""
     nrows, ncols = _shape(matrix)
-    for rows in combinations(range(nrows), 2):
-        for cols in combinations(range(ncols), 2):
-            (i1, i2), (j1, j2) = rows, cols
-            verdict = poly_geq_q(matrix[i1][j1] * matrix[i2][j2],
-                                 matrix[i1][j2] * matrix[i2][j1])
-            if not verdict:
-                return PropertyReport(
-                    "q-totally-positive-2", (1, 2), FAILS,
-                    witness={
-                        "rows": rows, "cols": cols,
-                        "coeff_index": verdict.index, "coeff": verdict.value,
-                    },
-                )
+    found = _first_negative_minor(matrix, ncols, min(2, nrows, ncols),
+                                  lambda p: min(p.coeffs, default=0))
+    if found:
+        rows, cols, minor = found
+        verdict = poly_geq_q(minor, QPoly.ZERO)
+        return PropertyReport("q-totally-positive-2", (1, 2), FAILS, witness={
+            "rows": rows, "cols": cols, "coeff_index": verdict.index, "coeff": verdict.value})
     return PropertyReport("q-totally-positive-2", (1, 2), HOLDS)
 
 

@@ -153,23 +153,25 @@ class CoeffScheme(Record):
         """The scheme of one scheme-file object; a malformed one raises ``FileFormatError``."""
         if not isinstance(d, dict):
             raise FileFormatError(f"coefficient scheme must be a JSON object, got {d!r}")
-        if "constant" in d:
-            return cls.constant(_scheme_value(d["constant"]))
-        if "affine" in d:
-            pair = d["affine"]
-            if not isinstance(pair, list) or len(pair) != 2:
+        kind = next((key for key in ("constant", "affine", "table") if key in d), None)
+        if kind is None:
+            raise FileFormatError(f"unrecognized coefficient scheme: {d!r}")
+        extra = [key for key in d if key not in (kind, "start" if kind == "table" else kind)]
+        if extra:
+            raise FileFormatError(f"unknown key {extra[0]!r} in a {kind} coefficient scheme")
+        value = d[kind]
+        if kind == "constant":
+            return cls.constant(_scheme_value(value))
+        if kind == "affine":
+            if not isinstance(value, list) or len(value) != 2:
                 raise FileFormatError(
-                    f"affine scheme needs a list [slope, intercept], got {pair!r}"
+                    f"affine scheme needs a list [slope, intercept], got {value!r}"
                 )
-            a, b = pair
+            a, b = value
             return cls.affine(_scheme_value(a), _scheme_value(b))
-        if "table" in d:
-            vals = d["table"]
-            if not isinstance(vals, list):
-                raise FileFormatError(f"table scheme needs a list of values, got {vals!r}")
-            return cls.table([_scheme_value(v) for v in vals],
-                             _scheme_value(d.get("start", 0), int))
-        raise FileFormatError(f"unrecognized coefficient scheme: {d!r}")
+        if not isinstance(value, list):
+            raise FileFormatError(f"table scheme needs a list of values, got {value!r}")
+        return cls.table([_scheme_value(v) for v in value], _scheme_value(d.get("start", 0), int))
 
 
 def _scheme_value(value, parse=parse_exact):

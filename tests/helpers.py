@@ -109,6 +109,29 @@ def naive_first_failing_pair(polys, convex, adjacent_only):
     return None
 
 
+def naive_q_tp2(m):
+    """Schoolbook check of the minors of order <= 2 of a polynomial matrix,
+    in the checker's order: each entry, then each a d - b c with
+    :func:`poly_geq_q`, both by lexicographic (rows, cols).
+
+    Returns ``(rows, cols, coeff_index, coeff)`` of the first minor that is
+    not >=_q 0, or ``None`` when every one is.
+    """
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    for i in range(nrows):
+        for j in range(ncols):
+            verdict = poly_geq_q(m[i][j], QPoly.ZERO)
+            if not verdict:
+                return (i,), (j,), verdict.index, verdict.value
+    for rows in combinations(range(nrows), 2):
+        for cols in combinations(range(ncols), 2):
+            (i1, i2), (j1, j2) = rows, cols
+            verdict = poly_geq_q(m[i1][j1] * m[i2][j2], m[i1][j2] * m[i2][j1])
+            if not verdict:
+                return rows, cols, verdict.index, verdict.value
+    return None
+
+
 def convolve(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

@@ -524,6 +524,22 @@ VALIDATION_ERRORS = {
                            json.dumps({"kind": "three-term", "f": {"slope": "1"},
                                        "g": {"constant": "1"}}),
                            "unrecognized coefficient scheme"),
+    # keys that used to be dropped without a word
+    "scheme-table-typo": (SCHEME_FILE_ARGV["generate"],
+                          json.dumps({"kind": "three-term",
+                                      "f": {"table": [1, 2, 3, 4], "strat": 1},
+                                      "g": {"constant": "1"}}),
+                          "unknown key 'strat' in a table coefficient scheme"),
+    "scheme-two-kinds": (SCHEME_FILE_ARGV["generate"],
+                         json.dumps({"kind": "three-term",
+                                     "f": {"constant": 1, "affine": [5, 5]},
+                                     "g": {"constant": "1"}}),
+                         "unknown key 'affine' in a constant coefficient scheme"),
+    "scheme-three-term-extra-weight": (SCHEME_FILE_ARGV["generate"],
+                                       json.dumps({"kind": "three-term", "f": {"constant": "1"},
+                                                   "g": {"constant": "1"},
+                                                   "h": {"constant": "1"}}),
+                                       "unknown key 'h' in a three-term scheme file"),
     **{f"scheme-nested-{cmd}": (argv, NESTED_SCHEME, "recursion")
        for cmd, argv in SCHEME_FILE_ARGV.items()},
 }

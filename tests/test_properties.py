@@ -16,6 +16,7 @@ from helpers import (
     has_internal_zero_gap,
     naive_first_failing_pair,
     naive_first_negative_minor,
+    naive_q_tp2,
     random_q_tp2_matrix,
     random_tp2_matrix,
 )
@@ -288,6 +289,50 @@ class TestOneWalkOrder:
         assert len(calls) == sum(comb(size, j) for j in range(1, r + 1))
 
 
+def random_poly_matrix(rng: random.Random) -> list[list[QPoly]]:
+    """An up to 5x5 matrix of polynomials of degree <= 2 with ``int`` or
+    ``Fraction`` coefficients.  About a third are q-TP2 bidiagonal products
+    with one row rescaled, some with a power of q taken from one entry; in
+    some of the rest one coefficient in ten is negative."""
+    rational, negative = rng.random() < 0.5, rng.random() < 0.4
+
+    def coeff():
+        c = -rng.randint(1, 3) if negative and rng.random() < 0.1 else rng.randint(0, 3)
+        return Fraction(c, rng.randint(1, 4)) if rational else c
+
+    if rng.random() < 0.35:
+        m = random_q_tp2_matrix(rng, rng.randint(1, 5))
+        i = rng.randrange(len(m))
+        m[i] = [p * (Fraction(1, 3) if rational else 3) for p in m[i]]
+        if negative:
+            i, j = rng.randrange(len(m)), rng.randrange(len(m))
+            m[i][j] = m[i][j] - QPoly([0] * rng.randint(0, 2) + [1])
+        return m
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    return [[QPoly(coeff() for _ in range(rng.randint(0, 3))) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_q_tp2_matches_reference(seed):
+    rng = random.Random(seed)
+    orders = []
+    for _ in range(150):
+        m = random_poly_matrix(rng)
+        report, expected = is_q_tp2(m), naive_q_tp2(m)
+        if expected is None:
+            assert report == PropertyReport("q-totally-positive-2", (1, 2), HOLDS)
+            orders.append(0)
+        else:
+            rows, cols, index, coeff = expected
+            assert report == PropertyReport("q-totally-positive-2", (1, 2), FAILS, witness={
+                "rows": rows, "cols": cols, "coeff_index": index, "coeff": coeff})
+            assert type(report.witness["coeff"]) is type(coeff)
+            orders.append(len(rows))
+    # holds, fails at order 1 and fails at order 2 all occur
+    assert {0, 1, 2} <= set(orders), orders
+
+
 def count_laplace_steps(monkeypatch) -> list:
     """A list that gains one entry per call of ``properties._extend``."""
     calls = []
@@ -366,6 +411,12 @@ class TestQTotalPositivity:
 
         t = build_preset("motzkin", 4)
         assert is_q_tp2(row_tail_matrix(t, 4, 4)).holds
+
+    def test_negative_entry_fails_at_order_1(self):
+        # the only minor of a 1x1 matrix is its entry
+        r = is_q_tp2([[QPoly([-1])]])
+        assert r == PropertyReport("q-totally-positive-2", (1, 2), FAILS, witness={
+            "rows": (0,), "cols": (0,), "coeff_index": 0, "coeff": -1})
 
     def test_short_row_rejected(self):
         one = QPoly([1])
@@ -930,11 +981,13 @@ def test_rational_rows_reach_the_certificate_as_integers(monkeypatch):
 def test_rational_j_is_left_to_the_scan(rows):
     # (3/7)^k (1+q)^k, k <= N, clears to 3^k 7^(N-k) (1+q)^k, whose beta_0 = 3/7 (1+q)
     # is no integer polynomial: the certificate proves nothing, and the scan
-    # gives the verdict of the reference.
+    # gives the verdict.  The sequence is geometric, f_0 = 1 and
+    # f_{k+1} = f_k f_1, so f_{n-1} f_{m+1} = f_n f_m for every pair and it holds.
     polys = tuple(Fraction(3, 7) ** k * QPoly([1, 1]) ** k for k in range(rows))
     cleared = clear_rows(coeff_rows(polys), common=True)[0]
     assert properties._jfraction_depth(cleared) == -1
-    assert naive_first_failing_pair(polys, True, False) is None
+    assert polys[0] == QPoly([1])
+    assert all(polys[k + 1] == polys[k] * polys[1] for k in range(rows - 1))
     report = is_strongly_q_log_convex(PolySeq(polys))
     assert report == PropertyReport("strongly-q-log-convex", (0, rows - 1), HOLDS)
 

@@ -61,3 +61,24 @@ def test_only_record_defines_equality_and_freezing():
                     names = []
                 found += [f"{where} {node.name}.{n}" for n in names if n in rules]
     assert found == []
+
+
+def test_minors_are_enumerated_only_in_extension_index():
+    """``properties._extension_index`` is the one caller of
+    ``itertools.combinations``: every minor check of every entry type runs on
+    ``properties._first_negative_minor``, built from it, so a second loop
+    over row and column subsets cannot come back."""
+    home = "src/tripos/properties.py"
+    inside, found = range(0), []
+    for where, node in _nodes():
+        name = where.rsplit(":", 1)[0]
+        if isinstance(node, ast.FunctionDef) and name == home and node.name == "_extension_index":
+            inside = range(node.lineno, node.end_lineno + 1)
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            found += [where for alias in node.names if alias.name == "combinations"
+                      and (name != home or alias.asname is not None)]
+        elif (isinstance(node, ast.Name) and node.id == "combinations"
+              or isinstance(node, ast.Attribute) and node.attr == "combinations"):
+            found.append(where)
+    assert inside
+    assert [where for where in found if where not in {f"{home}:{line}" for line in inside}] == []
