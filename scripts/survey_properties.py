@@ -43,7 +43,7 @@ from tripos.triangles import (
 
 
 def survey_preset(name: str, n_max: int) -> dict:
-    t = build_preset(name, n_max, s=2 if name == "s_pascal" else None)
+    t = build_preset(name, n_max, s=2 if PRESETS[name].takes_s else None)
     out = {
         "rows-log-concave": TRIANGLE_CHECKS["rows-log-concave"](t, 2).holds,
         "rowgen-strong-qlcx": TRIANGLE_CHECKS["rowgen-strong-qlcx"](t, 2).holds,

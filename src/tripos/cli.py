@@ -171,17 +171,18 @@ def load_triangle_file(path: str) -> Triangle:
 
 
 def _read(path: str, what: str) -> str:
-    """Read an input file; an unreadable or non-UTF-8 one is an input error (exit 2)."""
+    """Read a UTF-8 input file, with or without a byte order mark; an
+    unreadable or non-UTF-8 one is an input error (exit 2)."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {what}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
-    """Write an output file; an unwritable path is an input error (exit 2)."""
+    """Write a UTF-8 output file; an unwritable path is an input error (exit 2)."""
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
@@ -257,7 +258,6 @@ def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
         verify_tail_recurrence,
     )
 
-    identity = None
     if args.theorem == "thm21":
         _refuse_unread(args, "thm21", "--params", "--tail-recurrence")
         if not args.schemes:
@@ -266,7 +266,7 @@ def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
         if kind != "five-term":
             raise FileFormatError("thm21 takes a five-term scheme file")
         k_max = 30 if args.k_max is None else args.k_max
-        report = log_concavity_conditions(**schemes, k_max=k_max)
+        reports = [log_concavity_conditions(**schemes, k_max=k_max)]
         inputs = {"theorem": "thm21", "schemes": args.schemes, "k_max": k_max}
     else:
         _refuse_unread(args, args.theorem, "--schemes", "--k-max")
@@ -274,19 +274,14 @@ def _cmd_conditions(args) -> tuple[dict, list[dict], int]:
             raise FileFormatError(f"conditions {args.theorem} needs --params")
         params = parse_const_params(args.params)
         if args.theorem == "cor22":
-            report = log_concavity_conditions_const(params)
+            reports = [log_concavity_conditions_const(params)]
         else:
-            report = q_log_convexity_conditions(params)
+            reports = [q_log_convexity_conditions(params)]
         inputs = {"theorem": args.theorem, "params": args.params}
         if args.tail_recurrence is not None:
-            identity = verify_tail_recurrence(params, args.tail_recurrence)
+            reports.append(verify_tail_recurrence(params, args.tail_recurrence))
             inputs["tail_recurrence_n_max"] = args.tail_recurrence
-    reports = [report.to_dict()]
-    ok = report.established
-    if identity is not None:
-        reports.append(identity.to_dict())
-        ok = ok and identity.holds
-    return inputs, reports, 0 if ok else 1
+    return inputs, [r.to_dict() for r in reports], _verdict_code(reports)
 
 
 def _cmd_transform(args) -> tuple[dict, list[dict], int]:

@@ -80,6 +80,12 @@ class ConditionReport(Record):
             h.holds for h in self.hypotheses
         )
 
+    @property
+    def verdict(self) -> str:
+        """``holds`` when the list is established, else ``fails``: the verdict
+        that decides a run's exit status, as for a property report."""
+        return HOLDS if self.established else FAILS
+
     def to_dict(self) -> dict:
         return {
             "tag": self.tag,
@@ -214,8 +220,7 @@ def log_concavity_conditions(
 # Second clause of condition (5) in its published form; the structurally
 # expected clause (shift every letter of 5a by one) reads differently.
 _COR22_5B_PRINTED = "2*beta*g >= g*e + gamma*h"
-_COR22_5B_CANDIDATE = "2*beta*g >= alpha*f + gamma*h"
-_COR22_NOTE = (_clause(_COR22_5B_PRINTED), _clause(_COR22_5B_CANDIDATE))
+_COR22_NOTE = _clause("2*beta*g >= alpha*f + gamma*h")
 
 _COR22 = _table([
     ("1", ["g^2 >= f*h", "f >= alpha"]),
@@ -230,20 +235,19 @@ def log_concavity_conditions_const(p: ConstParams) -> ConditionReport:
     """Five sufficient conditions for row log-concavity at constant weights.
 
     Condition (5)'s second inequality is evaluated in its published form,
-    ``_COR22_5B_PRINTED``; a note is attached whenever that form and the
-    structurally expected ``_COR22_5B_CANDIDATE`` disagree on the given input.
+    ``_COR22_5B_PRINTED``; a note is attached whenever that evaluated clause
+    and the structurally expected ``_COR22_NOTE`` disagree on the given input.
     """
     val = _const_val(p)
-    notes = []
-    printed, candidate = (_value(lhs, val, None) >= _value(rhs, val, None)
-                          for _, lhs, rhs in _COR22_NOTE)
-    if printed != candidate:
-        notes.append(
-            f"condition (5) printed clause '{_COR22_5B_PRINTED}' and candidate "
-            f"corrected clause '{_COR22_5B_CANDIDATE}' disagree on this input "
-            f"(printed={printed}, candidate={candidate})"
-        )
-    return ConditionReport("cor22", _evaluate(_COR22, val, (None,)), notes=tuple(notes))
+    conditions = _evaluate(_COR22, val, (None,))
+    printed = next(c.holds for r in conditions for c in r.clauses if c.text == _COR22_5B_PRINTED)
+    candidate, lhs, rhs = _COR22_NOTE
+    notes = ()
+    if printed != (_value(lhs, val, None) >= _value(rhs, val, None)):
+        notes = (f"condition (5) printed clause '{_COR22_5B_PRINTED}' and candidate "
+                 f"corrected clause '{candidate}' disagree on this input "
+                 f"(printed={printed}, candidate={not printed})",)
+    return ConditionReport("cor22", conditions, notes=notes)
 
 
 # -- constant coefficients, strong q-log-convexity (tag thm34) ------------------

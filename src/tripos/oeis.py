@@ -2,8 +2,9 @@
 
 Triangles that are consumed as data (no recurrence available) arrive as
 b-files: one ``<index> <value>`` pair per line, indices contiguous.  Files
-are cached verbatim under ``<cache_dir>/<id>.txt`` so offline runs are
-reproducible; cache writes go through a temp file and an atomic rename.
+are cached as UTF-8 text, verbatim but for a leading byte order mark, under
+``<cache_dir>/<id>.txt`` so offline runs are reproducible; cache writes go
+through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def fetch_bfile(
     path = cache / f"{oid}.txt"
     if path.is_file():
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise BFileError(f"cannot read cached b-file {path}: {exc}") from exc
         return parse_bfile(text, oid)
@@ -114,7 +115,7 @@ def fetch_bfile(
     except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
         raise FetchError(f"could not retrieve {url}: {exc}") from exc
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise BFileError(f"{url} is not UTF-8 text: {exc}") from exc
     parsed = parse_bfile(text, oid)  # reject malformed downloads before caching
@@ -122,7 +123,7 @@ def fetch_bfile(
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache, prefix=f".{oid}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:

@@ -47,7 +47,7 @@ from .errors import (
     SequenceRangeError,
     UnknownPresetError,
 )
-from .records import Record, replace
+from .records import Record
 
 
 class Triangle(Record):
@@ -93,9 +93,13 @@ class Triangle(Record):
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("#"):
             raise FileFormatError("missing '# arity=<a> n_max=<n>' header line")
-        header = dict(
-            part.split("=", 1) for part in lines[0].lstrip("#").split() if "=" in part
-        )
+        header = {}
+        for token in lines[0].lstrip("#").split():
+            key, eq, value = token.partition("=")
+            if not eq or key not in ("arity", "n_max") or key in header:
+                raise FileFormatError("triangle header takes arity= and n_max= once each, "
+                                      f"not {token!r}")
+            header[key] = value
         try:
             arity = int(header["arity"])
             n_max = int(header["n_max"])
@@ -412,18 +416,19 @@ class Preset(Record):
 
     The three-term presets give either ``const_params`` (the constant
     five-term weights, with gamma = h = 0) or the (f, g) pair ``schemes``;
-    ``s_pascal`` gives ``s``.  ``oracle`` names the :mod:`tripos.oracles`
-    function whose index ``first`` is row 0.  For the rows 0..upto that
-    ``build_preset`` checks, oracle(n + first) is row n when ``per_row``;
-    otherwise oracle(upto + first) is all of them, or only their column 0
-    when ``column0``.
+    a preset with ``takes_s`` is the s-Pascal triangle of the ``s`` given
+    to :func:`preset` and :func:`build_preset`.  ``oracle`` names the
+    :mod:`tripos.oracles` function whose index ``first`` is row 0.  For
+    the rows 0..upto that ``build_preset`` checks, oracle(n + first) is
+    row n when ``per_row``; otherwise oracle(upto + first) is all of them,
+    or only their column 0 when ``column0``.
     """
 
     name: str
     oracle: str
     const_params: ConstParams | None = None
     schemes: tuple[CoeffScheme, CoeffScheme] | None = None
-    s: int | None = None
+    takes_s: bool = False
     column0: bool = False
     per_row: bool = False
     first: int = 0
@@ -441,7 +446,7 @@ PRESETS: dict[str, Preset] = {p.name: p for p in (
            schemes=(CoeffScheme.affine(1, 1), CoeffScheme.affine(1, 1))),
     Preset("schroder_large", "large_schroder_numbers", ConstParams(2, 1, 0, 1, 3, 2, 0),
            column0=True),
-    Preset("s_pascal", "ones", column0=True),
+    Preset("s_pascal", "ones", takes_s=True, column0=True),
 )}
 
 PRESET_NAMES = tuple(sorted(PRESETS))
@@ -455,11 +460,9 @@ def preset(name: str, s: int | None = None) -> Preset:
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         )
     p = PRESETS[name]
-    if name == "s_pascal":
-        if s is None or s < 1:
-            raise UnknownPresetError("preset s_pascal needs a positive s")
-        return replace(p, s=s)
-    if s is not None:
+    if p.takes_s and (s is None or s < 1):
+        raise UnknownPresetError(f"preset {name} needs a positive s")
+    if not p.takes_s and s is not None:
         raise UnknownPresetError(f"preset {name} takes no s")
     return p
 
@@ -468,12 +471,12 @@ def build_preset(name: str, n_max: int, s: int | None = None) -> Triangle:
     """Generate a preset triangle, cross-checking it against its oracle.
 
     Rows 0..min(n_max, VALIDATE_ROWS), or their column 0, must equal what the
-    preset's oracle yields, and s_pascal rows must also be symmetric; any
-    difference raises ``OracleMismatchError``.
+    preset's oracle yields, and the rows of a preset that takes ``s`` must
+    also be symmetric; any difference raises ``OracleMismatchError``.
     """
     p = preset(name, s)
-    if p.s is not None:
-        t = from_bisnomial(p.s, n_max)
+    if p.takes_s:
+        t = from_bisnomial(s, n_max)
     elif p.schemes is not None:
         t = from_three_term(*p.schemes, n_max)
     else:
@@ -489,6 +492,6 @@ def build_preset(name: str, n_max: int, s: int | None = None) -> Triangle:
     if got != expected:
         what = "column-0" if p.column0 else "rows"
         raise OracleMismatchError(f"{name} {what} mismatch: {got[:8]}...")
-    if p.s is not None and any(row != row[::-1] for row in rows):
+    if p.takes_s and any(row != row[::-1] for row in rows):
         raise OracleMismatchError(f"{name} rows not symmetric")
     return t

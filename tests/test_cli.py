@@ -518,6 +518,13 @@ VALIDATION_ERRORS = {
     "thm34-without-params": (["conditions", "thm34"], None, "thm34 needs --params"),
     "triangle-non-integer-header": (["check", "--file", "{path}", "rows-log-concave"],
                                     "# arity=x n_max=1\n1\n1 1\n", "bad triangle header"),
+    # header tokens that used to be read past or dropped
+    **{f"triangle-header-{name}": (["check", "--file", "{path}", "rows-log-concave"],
+                                   f"# {header}\n1\n1 1\n",
+                                   f"takes arity= and n_max= once each, not {token!r}")
+       for name, header, token in (("repeated-key", "arity=1 n_max=1 arity=2", "arity=2"),
+                                   ("other-key", "arity=1 n_max=1 rows=9", "rows=9"),
+                                   ("bare-token", "arity=1 junk n_max=1", "junk"))},
     "scheme-not-json": (SCHEME_FILE_ARGV["generate"], "kind: three-term",
                         "cannot parse the scheme file as JSON"),
     "scheme-unknown-key": (SCHEME_FILE_ARGV["generate"],
@@ -874,3 +881,105 @@ def test_survey_script_smoke(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "presets surveyed" in out
     assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
+# -- the conditions exit path ------------------------------------------------------
+
+FIVE_TERM = {"kind": "five-term", "gamma": {"constant": "1"}, "e": {"constant": "1"},
+             "f": {"constant": "1"}}
+# argv, five-term scheme file or None, exit status, stderr summary
+CONDITIONS_EXITS = {
+    "cor22-established": (["conditions", "cor22", "--params", "1,1,0,1,1,0,0"], None, 0,
+                          ["conditions cor22: established"]),
+    "cor22-not-established": (["conditions", "cor22", "--params", "1,1,0,1,1,1,0"], None, 1,
+                              ["conditions cor22: not established"]),
+    "thm34-established": (["conditions", "thm34", "--params", "1,1,0,1,2,1,0",
+                           "--tail-recurrence", "10"], None, 0,
+                          ["conditions thm34: established", "tail-recurrence-identity: holds"]),
+    "thm34-not-established": (["conditions", "thm34", "--params", "1,1,0,1,1,0,1",
+                               "--tail-recurrence", "10"], None, 1,
+                              ["conditions thm34: not established",
+                               "tail-recurrence-identity: holds"]),
+    "thm21-established": (["conditions", "thm21", "--schemes", "{path}"],
+                          {**FIVE_TERM, "g": {"constant": "1"}, "h": {"constant": "1"}}, 0,
+                          ["conditions thm21: established"]),
+    # condition (10) needs g_{k+1} g_{k-1} >= f_{k+1} h_{k-1}: 0 >= 1
+    "thm21-not-established": (["conditions", "thm21", "--schemes", "{path}"],
+                              {**FIVE_TERM, "g": {"constant": "0"}, "h": {"constant": "1"}}, 1,
+                              ["conditions thm21: not established"]),
+}
+
+
+@pytest.mark.parametrize("argv, scheme, code, summary", CONDITIONS_EXITS.values(),
+                         ids=list(CONDITIONS_EXITS))
+def test_conditions_exit_status_and_summary(capsys, tmp_path, argv, scheme, code, summary):
+    path = tmp_path / "scheme.json"
+    if scheme is not None:
+        path.write_text(json.dumps(scheme))
+    got, report, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert (got, report["exit_status"], err.splitlines()) == (code, code, summary)
+
+
+# -- triangle headers and text encodings -------------------------------------------
+
+
+def test_triangle_header_without_space_is_read(capsys, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("#arity=1 n_max=1\n1\n1 1\n")
+    assert run(capsys, "check", "--file", str(path), "rows-log-concave")[0] == 0
+
+
+# input kind -> (file name, text, argv reading it)
+BOM_INPUTS = {
+    "triangle": ("t.txt", "# arity=1 n_max=2\n1\n1 1\n1 2 1\n",
+                 ["check", "--file", "{path}", "rows-log-concave"]),
+    "polynomials": ("p.txt", "1\n1 1\n1 2 1\n",
+                    ["transform", "{path}", "--s", "1", "--direction", "convex"]),
+    "scheme": ("s.json", json.dumps({"kind": "three-term", "f": {"constant": "1"},
+                                     "g": {"constant": "1"}}),
+               ["generate", "--scheme-file", "{path}", "--n", "3"]),
+    "cached-bfile": ("A007318.txt", "0 1\n1 1\n2 1\n3 1\n4 2\n5 1\n",
+                     ["check", "--oeis", "A007318", "--arity", "1", "--offline",
+                      "--cache-dir", "{dir}", "rows-log-concave"]),
+}
+
+
+@pytest.mark.parametrize("name, text, argv", BOM_INPUTS.values(), ids=list(BOM_INPUTS))
+def test_input_with_byte_order_mark_reads_as_without(capsys, tmp_path, name, text, argv):
+    path = tmp_path / name
+    argv = [arg.format(path=path, dir=tmp_path) for arg in argv]
+    results = []
+    for bom in (b"\xef\xbb\xbf", b""):
+        path.write_bytes(bom + text.encode())
+        code, report, err = run(capsys, *argv)
+        report.pop("timing_ms")
+        results.append((code, report, err))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
+ENCODING_RUNS = {
+    "generate": ["--json", "{dir}/r.json", "generate", "--scheme-file", "{dir}/three.json",
+                 "--n", "3", "--out", "{dir}/t.txt"],
+    "check": ["check", "--oeis", "A007318", "--arity", "1", "--offline", "--cache-dir", "{dir}",
+              "rows-log-concave"],
+    "conditions": ["conditions", "thm21", "--schemes", "{dir}/five.json", "--k-max", "3"],
+    "transform": ["transform", "{dir}/p.txt", "--s", "1", "--direction", "convex"],
+}
+
+
+@pytest.mark.parametrize("argv", ENCODING_RUNS.values(), ids=list(ENCODING_RUNS))
+def test_verbs_run_under_encoding_warnings_as_errors(tmp_path, argv):
+    # EncodingWarning, raised as an error, marks a read or write that falls
+    # back on the locale's encoding.
+    (tmp_path / "three.json").write_text(BOM_INPUTS["scheme"][1], encoding="utf-8")
+    (tmp_path / "five.json").write_text(json.dumps({**FIVE_TERM, "g": {"constant": "1"},
+                                                    "h": {"constant": "1"}}), encoding="utf-8")
+    (tmp_path / "p.txt").write_text(BOM_INPUTS["polynomials"][1], encoding="utf-8")
+    (tmp_path / "A007318.txt").write_text(BOM_INPUTS["cached-bfile"][1], encoding="utf-8")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    runs = [subprocess.run([sys.executable, *flags, "-m", "tripos.cli", *argv],
+                           capture_output=True, text=True, env=src_env(), timeout=60)
+            for flags in (["-X", "warn_default_encoding", "-W", "error::EncodingWarning"], [])]
+    assert "Traceback" not in runs[0].stderr
+    assert [r.returncode for r in runs] == [0, 0]

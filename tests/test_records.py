@@ -33,10 +33,10 @@ CASES = [
      "CoeffScheme(slope=1, intercept=Fraction(1, 2), values=(3, 4), start=2)"),
     (ConstParams, (1, 1, 0, 1, 2, 1, 0), (), {"g": 3}, ({"h": -1}, ValueError),
      "ConstParams(alpha=1, beta=1, gamma=0, e=1, f=2, g=1, h=0)"),
-    (Preset, ("motzkin", "motzkin_numbers", MOTZKIN, None, None, True, False, 0),
-     (None, None, None, False, False, 0), {"s": 2}, None,
+    (Preset, ("motzkin", "motzkin_numbers", MOTZKIN, None, False, True, False, 0),
+     (None, None, False, False, False, 0), {"takes_s": True}, None,
      "Preset(name='motzkin', oracle='motzkin_numbers', const_params=ConstParams(alpha=1, "
-     "beta=1, gamma=0, e=1, f=1, g=1, h=0), schemes=None, s=None, column0=True, "
+     "beta=1, gamma=0, e=1, f=1, g=1, h=0), schemes=None, takes_s=False, column0=True, "
      "per_row=False, first=0)"),
     (NumSeq, ((1, 2, 1), 3), (0,), {"values": [4]}, ({"values": ()}, SequenceRangeError),
      "NumSeq(values=(1, 2, 1), offset=3)"),

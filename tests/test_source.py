@@ -82,3 +82,50 @@ def test_minors_are_enumerated_only_in_extension_index():
             found.append(where)
     assert inside
     assert [where for where in found if where not in {f"{home}:{line}" for line in inside}] == []
+
+
+def test_only_triangles_names_the_s_preset():
+    """Whether a preset takes ``s`` is its ``PRESETS`` row's ``takes_s``;
+    no other module decides it by the preset's name."""
+    found = [where for where, node in _nodes(exclude=("src/tripos/triangles.py",))
+             if isinstance(node, ast.Constant) and node.value == "s_pascal"]
+    assert found == []
+
+
+def _mode(call: ast.Call) -> str:
+    """The constant mode of an ``open`` or ``os.fdopen`` call, ``"r"`` when
+    none is given."""
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else None)
+    return mode.value if isinstance(mode, ast.Constant) else "r"
+
+
+def test_every_text_file_names_its_encoding():
+    """A text file read or written with the locale's default encoding reads
+    UTF-8 input only under a UTF-8 locale; ``os.open`` returns a file
+    descriptor and is exempt."""
+    found = []
+    for where, node in _nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text"):
+            text = True
+        elif (isinstance(func, ast.Name) and func.id == "open"
+              or isinstance(func, ast.Attribute) and func.attr == "fdopen"):
+            text = "b" not in _mode(node)
+        else:
+            continue
+        if text and not any(k.arg == "encoding" for k in node.keywords):
+            found.append(where)
+    assert found == []
+
+
+def test_environment_is_read_only_in_oeis():
+    """``TRIPOS_OEIS_CACHE`` is the one environment setting: no other module
+    reads ``os.environ`` or ``os.getenv``, so no hidden knob can appear."""
+    found = [where for where, node in _nodes(exclude=("src/tripos/oeis.py",))
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(a.name in ("environ", "getenv") for a in node.names)]
+    assert found == []
