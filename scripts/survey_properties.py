@@ -34,7 +34,6 @@ from tripos.transforms import check_preservation
 from tripos.triangles import (
     PRESET_NAMES,
     PRESETS,
-    Triangle,
     build_preset,
     from_const_params,
     recurrence_matrix,
@@ -47,8 +46,8 @@ def survey_preset(name: str, n_max: int) -> dict:
     out = {
         "rows-log-concave": TRIANGLE_CHECKS["rows-log-concave"](t, 2).holds,
         "rowgen-strong-qlcx": TRIANGLE_CHECKS["rowgen-strong-qlcx"](t, 2).holds,
-        # TP_2 of the truncation to rows and columns 0..11
-        "matrix-tp2": TRIANGLE_CHECKS["tp"](Triangle(t.rows[:12], t.arity), 2).holds,
+        # TP_2 of the truncation to rows and columns 0..n_max
+        "matrix-tp2": TRIANGLE_CHECKS["tp"](t, 2).holds,
     }
 
     p = PRESETS[name].const_params

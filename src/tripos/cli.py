@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -55,16 +56,23 @@ _nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse reads the terminal width for every formatter it makes, 26 per
+    # build; this reads it once and gives every parser the width argparse
+    # itself would compute.  shutil loads here, as it did inside argparse.
+    import shutil
+
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="tripos",
+        prog="tripos", formatter_class=formatter,
         description="Generate combinatorial triangles and verify their "
         "log-concavity / q-log-convexity / total-positivity properties "
         "in exact arithmetic.",
     )
     parser.add_argument("--json", metavar="PATH", help="also write the JSON report to PATH")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=formatter)
 
-    gen = sub.add_parser("generate", help="generate a triangle and write it to a file")
+    gen = add_parser("generate", help="generate a triangle and write it to a file")
     src = gen.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=PRESET_NAMES)
     src.add_argument("--params", metavar="alpha,beta,gamma,e,f,g,h",
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=_nonnegative_int, required=True, help="largest row index to generate")
     gen.add_argument("--out", metavar="PATH", help="output path (default: stdout via report)")
 
-    chk = sub.add_parser("check", help="run property checkers against a triangle")
+    chk = add_parser("check", help="run property checkers against a triangle")
     tgt = chk.add_mutually_exclusive_group(required=True)
     tgt.add_argument("--file", metavar="PATH", help="triangle file to check")
     tgt.add_argument("--oeis", metavar="ID", help="OEIS id to ingest (b-file)")
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--offline", action="store_true", default=None, help="never touch the network")
     chk.add_argument("checks", nargs="+", choices=CHECK_NAMES)
 
-    cond = sub.add_parser("conditions", help="evaluate a sufficient-condition list")
+    cond = add_parser("conditions", help="evaluate a sufficient-condition list")
     cond.add_argument("theorem", choices=("thm21", "cor22", "thm34"))
     cond.add_argument("--params", metavar="alpha,beta,gamma,e,f,g,h",
                       help="constant weights (cor22 / thm34)")
@@ -99,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also verify the tail-sum recurrence identity up to row N "
                       "(cor22 / thm34)")
 
-    tra = sub.add_parser("transform", help="apply the generalized binomial transform "
-                                           "and check property preservation")
+    tra = add_parser("transform", help="apply the generalized binomial transform "
+                                       "and check property preservation")
     tra.add_argument("polys", metavar="PATH", help="input file, one polynomial per line")
     tra.add_argument("--s", type=_positive_int, required=True)
     tra.add_argument("--n-max", type=_nonnegative_int, default=None,

@@ -559,6 +559,49 @@ def _totally_nonnegative(rows: list[list[int]]) -> bool:
     return _neville_passes(rows) and _neville_passes(list(zip(*rows)))
 
 
+def _production_tp(rows: Sequence[Sequence[int]], r: int) -> bool:
+    """A certificate that the square integer matrix ``rows`` is TP_r: it is a
+    lower-triangular T with a positive diagonal whose production matrix P,
+    T[j+1] = sum_i T[j][i] P[i], is tridiagonal, has entries >= 0 and has
+    contiguous principal minors of order <= r that are >= 0.
+
+    P is recovered in integers row by row, P[j] = (T[j+1] - sum_{i<j}
+    T[j][i] P[i]) / T[j][j]; the certificate gives up at the first division
+    with a remainder, negative entry or entry outside the band j-1..j+1.
+    The minors follow D_{i..j} = P_jj D_{i..j-1} - P_{j-1,j} P_{j,j-1} D_{i..j-2}.
+    Why this proves TP_r: every minor of a tridiagonal P is a product of
+    off-diagonal entries and contiguous principal minors of no larger order,
+    so P is TP_r; and T = diag(1, T') [T[0]; P], with T' the leading
+    (N-1) x (N-1) block of T, whose production matrix is a block of P, so
+    Cauchy-Binet and induction on N make T TP_r (Chen, Liang & Wang, Linear
+    Algebra Appl. 471, 2015).  ``False`` only means that the certificate
+    does not apply."""
+    n = len(rows)
+    if any(rows[j][j] <= 0 or any(rows[j][j + 1:]) for j in range(n)):
+        return False
+    band: list[tuple[int, int, int]] = []  # (P[j][j-1], P[j][j], P[j][j+1])
+    for j in range(n - 1):
+        t, d, below = rows[j], rows[j][j], rows[j + 1]
+        entries = []
+        for k in range(j + 2):
+            x = below[k]
+            for i in range(max(k - 1, 0), min(k + 2, j)):
+                x -= t[i] * band[i][k - i + 1]
+            p, rest = divmod(x, d)
+            if rest or p < 0 or p and k < j - 1:
+                return False
+            entries.append(p)
+        band.append((entries[j - 1] if j else 0, entries[j], entries[j + 1]))
+    couple = [0] + [band[j - 1][2] * band[j][0] for j in range(1, n - 1)]
+    for i in range(n - 1):
+        older, old = 0, 1  # D_{i..j-2} and D_{i..j-1}
+        for j in range(i, min(i + r, n - 1)):
+            older, old = old, band[j][1] * old - couple[j] * older
+            if old < 0:
+                return False
+    return True
+
+
 def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     """Total positivity of order r: every minor of order <= r is nonnegative.
 
@@ -567,9 +610,9 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     Each row is scaled by the least common multiple of its denominators
     first (:func:`~tripos.algebra.clear_rows`), which keeps every minor's
     sign, so the scan runs on integers; the witness minor is then recomputed
-    with :func:`det_exact` on the original entries.  A
-    square matrix that :func:`_totally_nonnegative` certifies holds without
-    the scan; every other matrix is scanned.
+    with :func:`det_exact` on the original entries.  A square matrix that
+    :func:`_production_tp` or :func:`_totally_nonnegative` certifies holds
+    without the scan; every other matrix is scanned.
     """
     if r < 1:
         raise ValueError("minor order r must be >= 1")
@@ -578,7 +621,8 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     note = None if r_eff == r else (
         f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})")
     cleared = clear_rows(matrix)[0]
-    certified = nrows == ncols and _totally_nonnegative(cleared)
+    certified = nrows == ncols and (
+        _production_tp(cleared, r_eff) or _totally_nonnegative(cleared))
     found = None if certified else _first_negative_minor(cleared, ncols, r_eff)
     if found:
         rows, cols, _ = found

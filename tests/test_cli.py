@@ -1,5 +1,6 @@
 """CLI surface: exit-status contract, JSON determinism, file round trips."""
 
+import argparse
 import contextlib
 import http.client
 import importlib.util
@@ -7,6 +8,7 @@ import io
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fake_urlopen, src_env
-from tripos.cli import CHECK_NAMES, main
+from tripos.cli import CHECK_NAMES, build_parser, main
 from tripos.properties import TRIANGLE_CHECKS
 from tripos.triangles import PRESET_NAMES, Triangle, bisnomial_row, build_preset, row_polys
 
@@ -443,6 +445,38 @@ class TestReportEnvelope:
         assert "rows-log-concave: holds" in err
 
 
+# -- help width ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--preset", "motzkin", "--n", "4", "tp"], 0),
+    (["check", "--preset", "motzkin"], 2),
+], ids=["run", "usage-error"])
+def test_one_terminal_size_read_per_call(monkeypatch, capsys, argv, code):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(1) or size(*a))
+    assert main(argv) == code
+    assert len(calls) == 1
+
+
+def test_help_is_that_of_argparse_own_width(monkeypatch):
+    # every parser's help reads as argparse's default formatter writes it at
+    # the terminal width of that call
+    texts = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsers = [parser, *subparsers.choices.values()]
+        assert len(parsers) == 5
+        texts[columns] = [p.format_help() for p in parsers]
+        for p in parsers:
+            p.formatter_class = argparse.HelpFormatter
+        assert [p.format_help() for p in parsers] == texts[columns]
+    assert texts["40"] != texts["200"]
+
+
 # -- input faults and the exit-code contract ---------------------------------------
 
 ZERO_DENOMINATOR_COMMANDS = {
@@ -855,13 +889,20 @@ def test_check_reports_come_from_the_registry(capsys, name):
     assert code == (0 if all(r["verdict"] == "holds" for r in expected) else 1)
 
 
-def test_survey_script_smoke(tmp_path, capsys):
+def test_survey_script_smoke(tmp_path, capsys, monkeypatch):
     path = Path(__file__).resolve().parents[1] / "scripts" / "survey_properties.py"
     spec = importlib.util.spec_from_file_location("survey_properties", path)
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
     out = tmp_path / "survey.json"
+    tp_rows = []
+    tp = TRIANGLE_CHECKS["tp"]
+    monkeypatch.setitem(TRIANGLE_CHECKS, "tp", lambda t, r: tp_rows.append(len(t.rows)) or tp(t, r))
     assert survey.main(["--n", "8", "--json", str(out)]) == 0
+    # matrix-tp2 checks every generated row of each preset, past row 11 too
+    assert tp_rows == [9] * len(PRESET_NAMES)
+    assert survey.survey_preset("bell", 14)["matrix-tp2"]
+    assert tp_rows[-1] == 15
     results = json.loads(out.read_text())
     base = {"rows-log-concave", "rowgen-strong-qlcx", "matrix-tp2"}
     const = base | {"conditions-established", "recurrence-matrix-tp2", "tail-recurrence",

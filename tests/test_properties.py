@@ -353,6 +353,15 @@ class TestNevilleRoute:
         assert is_tp_r(self.PASCAL, 4).to_dict() == tp_report(4)
         assert calls == []
 
+    def test_non_triangular_matrix_is_certified_by_neville(self, monkeypatch):
+        # the symmetric Pascal matrix is not lower triangular, so the
+        # production-matrix certificate refuses it and Neville proves it
+        m = [[comb(i + j, i) for j in range(8)] for i in range(8)]
+        calls = count_laplace_steps(monkeypatch)
+        assert not properties._production_tp(m, 4)
+        assert is_tp_r(m, 4).to_dict() == tp_report(4)
+        assert calls == []
+
     def test_failing_matrix_walks_to_its_witness(self, monkeypatch):
         calls = count_laplace_steps(monkeypatch)
         m = build_preset("motzkin", 7).to_matrix(8, 8)
@@ -662,6 +671,90 @@ def test_tp_r_matches_reference_on_sparse_structured(m, r):
         assert is_tp_r(m, r).to_dict() == tp_report(r)
     else:
         assert is_tp_r(m, r).to_dict() == tp_report(r, *expected)
+
+
+# -- the production-matrix certificate ------------------------------------------------
+
+
+@st.composite
+def recursive_triangles(draw):
+    """``(T, P)``: the square truncation T of the triangle T[j+1] = T[j]·P for
+    a nonnegative tridiagonal integer P with N-1 rows and N columns.  P may
+    first get a negative contiguous principal minor, of order 2 (a raised
+    off-diagonal pair) or 3 (a block of ones); or T gets one entry on or
+    below its diagonal raised or lowered by 1, and P is then ``None``."""
+    size = draw(integers(1, 6))
+    p = [[draw(integers(0, 3)) if abs(j - k) <= 1 else 0 for k in range(size)]
+         for j in range(size - 1)]
+    variant = draw(integers(0, 3))
+    if variant == 1 and size >= 3:
+        i = draw(integers(0, size - 3))
+        p[i + 1][i] = max(p[i + 1][i], 1)
+        p[i][i + 1] = p[i][i] * p[i + 1][i + 1] + draw(integers(1, 3))
+    elif variant == 2 and size >= 4:
+        i = draw(integers(0, size - 4))
+        for j in range(i, i + 3):
+            for k in range(max(j - 1, i), min(j + 2, i + 3)):
+                p[j][k] = 1
+    t = [[draw(integers(1, 3))] + [0] * (size - 1)]
+    for j in range(size - 1):
+        t.append([sum(t[j][i] * p[i][k] for i in range(j + 1)) for k in range(size)])
+    if variant == 3:
+        i = draw(integers(0, size - 1))
+        t[i][draw(integers(0, i))] += draw(st.sampled_from((-1, 1)))
+        p = None
+    return t, p
+
+
+@given(recursive_triangles(), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_production_certificate_matches_reference(case, r):
+    m, p = case
+    r_eff = min(r, len(m))
+    note = None if r_eff == r else f"r clamped from {r} to {r_eff} (matrix is {len(m)}x{len(m)})"
+    expected = naive_first_negative_minor(m, r)
+    if expected is None:
+        assert is_tp_r(m, r).to_dict() == tp_report(r_eff, note=note)
+    else:
+        assert is_tp_r(m, r).to_dict() == tp_report(r_eff, *expected, note=note)
+    # with a positive diagonal the recovered P is the one T was built from, and
+    # the certificate holds exactly when that P is TP_r
+    if p is not None and len(m) > 1 and all(m[j][j] > 0 for j in range(len(m))):
+        assert properties._production_tp(m, r_eff) == (naive_first_negative_minor(p, r) is None)
+
+
+class TestProductionRoute:
+    MOTZKIN = build_preset("motzkin", 7).to_matrix(8, 8)
+
+    def test_motzkin_is_proved_at_order_two(self, monkeypatch):
+        # Neville refuses it, since Motzkin's matrix has a negative 3x3 minor;
+        # its band of ones has contiguous minors 1, 0 and -1
+        calls = count_laplace_steps(monkeypatch)
+        assert not properties._totally_nonnegative(self.MOTZKIN)
+        assert properties._production_tp(self.MOTZKIN, 2)
+        assert is_tp_r(self.MOTZKIN, 2).to_dict() == tp_report(2)
+        assert calls == []
+
+    def test_motzkin_walks_to_its_witness_at_order_three(self, monkeypatch):
+        calls = count_laplace_steps(monkeypatch)
+        assert not properties._production_tp(self.MOTZKIN, 3)
+        assert is_tp_r(self.MOTZKIN, 3).to_dict() == tp_report(3, (1, 2, 3), (0, 1, 2), -1)
+        assert calls
+
+    PASCAL = build_preset("pascal", 5).to_matrix(6, 6)
+
+    @pytest.mark.parametrize("m", [
+        build_preset("s_pascal", 5, s=2).to_matrix(6, 6),
+        PASCAL[:5] + [PASCAL[5][:5] + [0]],
+        [[Fraction(2, 3)] + [0] * 5] + PASCAL[1:],
+        PASCAL[:4] + [[PASCAL[4][0] + 1] + PASCAL[4][1:]] + PASCAL[5:],
+    ], ids=["arity-2", "zero-diagonal", "rational-p", "off-band"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_refused_inputs_keep_their_report(self, m, r):
+        # the certificate does not apply; Neville and the walk decide as before
+        assert not properties._production_tp(clear_rows(m)[0], r)
+        expected = naive_first_negative_minor(m, r)
+        assert is_tp_r(m, r).to_dict() == tp_report(r, *(expected or ()))
 
 
 seqs = st.lists(st.integers(0, 20), min_size=3, max_size=7)
