@@ -209,10 +209,15 @@ def clear_rows(rows: Sequence[Sequence[ExactRat]],
     denominators of its entries; with ``common``, every row is multiplied by
     the lcm of all denominators.  A multiplier is positive, so one per row
     keeps the sign of every minor, and one common to all rows keeps the sign
-    of every coefficient of a difference of two products of rows."""
+    of every coefficient of a difference of two products of rows.  Without
+    ``common``, a row of ``int`` entries only is copied, with multiplier 1."""
     base = lcm(*(x.denominator for row in rows for x in row)) if common else 0
     cleared, mults = [], []
     for row in rows:
+        if not base and all(type(x) is int for x in row):
+            mults.append(1)
+            cleared.append(list(row))
+            continue
         mult = base or lcm(*(x.denominator for x in row))
         mults.append(mult)
         cleared.append([x.numerator * (mult // x.denominator) for x in row])

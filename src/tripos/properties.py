@@ -481,41 +481,45 @@ def _extend(a: Sequence, ext: list[list], table: list, size: int) -> list:
 
 
 def _first_negative_minor(rows: Sequence[Sequence], ncols: int, r: int,
-                          low: Callable | None = None) -> tuple | None:
-    """Row and column subsets of the least failing minor of order <= r, by
-    (order, rows, cols), and that minor; or ``None``.  A minor fails when
+                          low: Callable | None = None, first: int = 1) -> tuple | None:
+    """Row and column subsets of the least failing minor of order first..r,
+    by (order, rows, cols), and that minor; or ``None``.  A minor fails when
     ``low`` of it is negative; by default ``low`` is the minor itself.
 
-    One depth-first walk by prefix visits the row subsets of each size in
-    lexicographic order.  A node of j rows checks its j-minors over every
-    column j-subset, by rank, extended from its parent's by :func:`_extend`.
-    A failing minor at depth d is recorded with its first failing column
-    subset; the walk then skips depths >= d but finishes the shallower ones,
-    where a failure replaces it.  Each depth's :func:`_extension_index` is
-    built when the walk first gets there; only the current prefix's tables
-    are kept."""
-    nrows, index = len(rows), [None]
-    found, limit = None, r
+    The orders are searched one at a time, and the search stops at the first
+    order with a failure.  For order d, a depth-first walk by prefix visits
+    the row d-subsets in lexicographic order.  A prefix of j rows carries its
+    j-minors over every column j-subset, by rank: row i itself for j = 1,
+    else its parent's table extended by :func:`_extend`.  Tables of depth < d
+    are built but not checked, a prefix that can no longer reach d rows is
+    skipped, and the first negative d-minor by column subset ends the search.
+    Every :func:`_extension_index` is built once per call; only the current
+    prefix's tables are kept."""
+    nrows = len(rows)
+    index = [None] + [_extension_index(ncols, j) for j in range(1, first)]
 
-    def walk(start: int, chosen: tuple[int, ...], table: list):
-        nonlocal found, limit
+    def walk(order: int, start: int, chosen: tuple[int, ...], table) -> tuple | None:
         depth = len(chosen) + 1
-        if depth == len(index):
-            index.append(_extension_index(ncols, depth))
         subsets, ext = index[depth]
-        for i in range(start, nrows):
-            minors = _extend(rows[i], ext, table, len(subsets))
+        for i in range(start, nrows - order + depth):
+            minors = _extend(rows[i], ext, table, len(subsets)) if chosen else rows[i]
+            if depth < order:
+                found = walk(order, i + 1, chosen + (i,), minors)
+                if found:
+                    return found
+                continue
             keys = minors if low is None else list(map(low, minors))
             if min(keys) < 0:
-                first = next(t for t, key in enumerate(keys) if key < 0)
-                found, limit = (chosen + (i,), subsets[first], minors[first]), depth - 1
-                return
-            if depth < limit and i + 1 < nrows:
-                walk(i + 1, chosen + (i,), minors)
+                t = next(t for t, key in enumerate(keys) if key < 0)
+                return chosen + (i,), subsets[t], minors[t]
+        return None
 
-    if r:
-        walk(0, (), [1])
-    return found
+    for order in range(first, r + 1):
+        index.append(_extension_index(ncols, order))
+        found = walk(order, 0, (), None)
+        if found:
+            return found
+    return None
 
 
 def _neville_passes(rows: Sequence[Sequence[int]]) -> bool:
@@ -559,26 +563,27 @@ def _totally_nonnegative(rows: list[list[int]]) -> bool:
     return _neville_passes(rows) and _neville_passes(list(zip(*rows)))
 
 
-def _production_tp(rows: Sequence[Sequence[int]], r: int) -> bool:
-    """A certificate that the square integer matrix ``rows`` is TP_r: it is a
-    lower-triangular T with a positive diagonal whose production matrix P,
-    T[j+1] = sum_i T[j][i] P[i], is tridiagonal, has entries >= 0 and has
-    contiguous principal minors of order <= r that are >= 0.
+def _production_tp(rows: Sequence[Sequence[int]], r: int) -> int:
+    """The largest order c <= r for which the square integer matrix ``rows``
+    is proved TP_c: it is a lower-triangular T with a positive diagonal whose
+    production matrix P, T[j+1] = sum_i T[j][i] P[i], is tridiagonal, has
+    entries >= 0 and has contiguous principal minors of order <= c that are
+    >= 0.
 
     P is recovered in integers row by row, P[j] = (T[j+1] - sum_{i<j}
     T[j][i] P[i]) / T[j][j]; the certificate gives up at the first division
     with a remainder, negative entry or entry outside the band j-1..j+1.
     The minors follow D_{i..j} = P_jj D_{i..j-1} - P_{j-1,j} P_{j,j-1} D_{i..j-2}.
-    Why this proves TP_r: every minor of a tridiagonal P is a product of
+    Why this proves TP_c: every minor of a tridiagonal P is a product of
     off-diagonal entries and contiguous principal minors of no larger order,
-    so P is TP_r; and T = diag(1, T') [T[0]; P], with T' the leading
+    so P is TP_c; and T = diag(1, T') [T[0]; P], with T' the leading
     (N-1) x (N-1) block of T, whose production matrix is a block of P, so
-    Cauchy-Binet and induction on N make T TP_r (Chen, Liang & Wang, Linear
-    Algebra Appl. 471, 2015).  ``False`` only means that the certificate
-    does not apply."""
+    Cauchy-Binet and induction on N make T TP_c (Chen, Liang & Wang, Linear
+    Algebra Appl. 471, 2015).  0 only means that the certificate does not
+    apply."""
     n = len(rows)
     if any(rows[j][j] <= 0 or any(rows[j][j + 1:]) for j in range(n)):
-        return False
+        return 0
     band: list[tuple[int, int, int]] = []  # (P[j][j-1], P[j][j], P[j][j+1])
     for j in range(n - 1):
         t, d, below = rows[j], rows[j][j], rows[j + 1]
@@ -589,7 +594,7 @@ def _production_tp(rows: Sequence[Sequence[int]], r: int) -> bool:
                 x -= t[i] * band[i][k - i + 1]
             p, rest = divmod(x, d)
             if rest or p < 0 or p and k < j - 1:
-                return False
+                return 0
             entries.append(p)
         band.append((entries[j - 1] if j else 0, entries[j], entries[j + 1]))
     couple = [0] + [band[j - 1][2] * band[j][0] for j in range(1, n - 1)]
@@ -598,8 +603,9 @@ def _production_tp(rows: Sequence[Sequence[int]], r: int) -> bool:
         for j in range(i, min(i + r, n - 1)):
             older, old = old, band[j][1] * old - couple[j] * older
             if old < 0:
-                return False
-    return True
+                r = j - i  # D_{i..j} has order j - i + 1
+                break
+    return r
 
 
 def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
@@ -611,8 +617,10 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     first (:func:`~tripos.algebra.clear_rows`), which keeps every minor's
     sign, so the scan runs on integers; the witness minor is then recomputed
     with :func:`det_exact` on the original entries.  A square matrix that
-    :func:`_production_tp` or :func:`_totally_nonnegative` certifies holds
-    without the scan; every other matrix is scanned.
+    :func:`_production_tp` proves TP_r or :func:`_totally_nonnegative`
+    certifies holds without the scan.  Every other matrix is scanned from
+    the first order that :func:`_production_tp` leaves open, since no minor
+    of a lower order can fail.
     """
     if r < 1:
         raise ValueError("minor order r must be >= 1")
@@ -621,9 +629,10 @@ def is_tp_r(matrix: Sequence[Sequence[ExactRat]], r: int) -> PropertyReport:
     note = None if r_eff == r else (
         f"r clamped from {r} to {r_eff} (matrix is {nrows}x{ncols})")
     cleared = clear_rows(matrix)[0]
-    certified = nrows == ncols and (
-        _production_tp(cleared, r_eff) or _totally_nonnegative(cleared))
-    found = None if certified else _first_negative_minor(cleared, ncols, r_eff)
+    proved = _production_tp(cleared, r_eff) if nrows == ncols else 0
+    found = None
+    if proved < r_eff and not (nrows == ncols and _totally_nonnegative(cleared)):
+        found = _first_negative_minor(cleared, ncols, r_eff, first=proved + 1)
     if found:
         rows, cols, _ = found
         minor = det_exact([[matrix[i][j] for j in cols] for i in rows])

@@ -80,7 +80,9 @@ class Triangle(Record):
 
     def to_matrix(self, nrows: int, ncols: int) -> list[list[ExactRat]]:
         """Dense truncation with rows padded (or cut) to ncols."""
-        return [[self.entry(n, k) for k in range(ncols)] for n in range(nrows)]
+        nrows, ncols = max(nrows, 0), max(ncols, 0)
+        out = [list(row[:ncols]) + [0] * (ncols - len(row)) for row in self.rows[:nrows]]
+        return out + [[0] * ncols for _ in range(nrows - len(out))]
 
     def serialize(self) -> str:
         lines = [f"# arity={self.arity} n_max={self.n_max}"]

@@ -74,14 +74,14 @@ def gauss_det(m):
     return int(d) if d.denominator == 1 else d
 
 
-def naive_first_negative_minor(m, r):
-    """Brute-force scan of all minors of order <= r, in the checker's order.
+def naive_first_negative_minor(m, r, first=1):
+    """Brute-force scan of all minors of order first..r, in the checker's order.
 
     Each minor is evaluated with :func:`gauss_det`; a minor with a zero row
     or column is 0 and is skipped.
     """
     nrows, ncols = len(m), len(m[0])
-    for order in range(1, min(r, nrows, ncols) + 1):
+    for order in range(first, min(r, nrows, ncols) + 1):
         for rows in combinations(range(nrows), order):
             for cols in combinations(range(ncols), order):
                 sub = [[m[i][j] for j in cols] for i in rows]
@@ -109,16 +109,16 @@ def naive_first_failing_pair(polys, convex, adjacent_only):
     return None
 
 
-def naive_q_tp2(m):
-    """Schoolbook check of the minors of order <= 2 of a polynomial matrix,
-    in the checker's order: each entry, then each a d - b c with
+def naive_q_tp2(m, first=1):
+    """Schoolbook check of the minors of order first..2 of a polynomial
+    matrix, in the checker's order: each entry, then each a d - b c with
     :func:`poly_geq_q`, both by lexicographic (rows, cols).
 
     Returns ``(rows, cols, coeff_index, coeff)`` of the first minor that is
     not >=_q 0, or ``None`` when every one is.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
-    for i in range(nrows):
+    for i in range(nrows if first <= 1 else 0):
         for j in range(ncols):
             verdict = poly_geq_q(m[i][j], QPoly.ZERO)
             if not verdict:

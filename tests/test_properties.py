@@ -246,9 +246,9 @@ def tp_report(r_eff, rows=None, cols=None, minor=None, note=None) -> dict:
 
 
 class TestOneWalkOrder:
-    """The scan visits row subsets depth first, so it meets a deeper failure
-    before a shallower one that comes later; the witness must still be the
-    least failure by (order, rows, cols)."""
+    """A failure of higher order can come before a lower-order one in the
+    row order; the witness must still be the least failure by (order, rows,
+    cols)."""
 
     def test_order_two_beats_earlier_order_three(self):
         # rows (0, 1, 2) are TP2 with determinant -1 and come first; the first
@@ -279,14 +279,95 @@ class TestOneWalkOrder:
         assert is_tp_r(m, r).to_dict() == expected
 
     @pytest.mark.parametrize("size, r", [(6, 3), (8, 4), (7, 7)])
-    def test_one_laplace_step_per_row_subset(self, monkeypatch, size, r):
-        # one table per row j-subset, j <= r; the per-order walks this one
-        # replaced took 60, 251 and 247 steps on these matrices.  is_tp_r
-        # certifies these without walking, so the walk is called directly.
+    def test_one_laplace_step_per_prefix_and_order(self, monkeypatch, size, r):
+        # order d walks every row j-prefix, 2 <= j <= d, whose rows all lie in
+        # the first size - d + j, so that it can still reach d rows; depth 1
+        # is the row itself and takes no step.  A holding walk so rebuilds the
+        # prefixes of lower orders.  is_tp_r certifies these without walking,
+        # so the walk is called directly.
         calls = count_laplace_steps(monkeypatch)
         m = build_preset("pascal", size - 1).to_matrix(size, size)
         assert properties._first_negative_minor(m, size, r) is None
-        assert len(calls) == sum(comb(size, j) for j in range(1, r + 1))
+        assert len(calls) == sum(comb(size - d + j, j) for d in range(2, r + 1)
+                                 for j in range(2, d + 1))
+
+
+def late_low_order_failure(rng: random.Random, rational: bool) -> list[list]:
+    """A matrix of at most 6 rows whose least failing minor has lower order than
+    a failure through earlier rows, which a depth-first walk over all orders
+    meets first.  The top k rows (k = 2, 3 or 4) come from a nonnegative
+    tridiagonal matrix whose contiguous principal minors of order < k are
+    >= 0 and whose leading k x k minor is negative, so they are TP_(k-1) and
+    fail at order k; the rows below are nonnegative, except for one negative
+    entry in about a third of the matrices.  With ``rational`` each row is
+    scaled by a positive ``Fraction``, which keeps every minor's sign."""
+    k = rng.choice((2, 3, 4))
+    ncols = rng.randint(k, 5)
+    while True:
+        d = [rng.randint(1, 3) for _ in range(ncols)]
+        e = [rng.randint(1, 3) for _ in range(ncols - 1)]
+        f = [rng.randint(1, 3) for _ in range(ncols - 1)]
+        band = [[d[i] if i == j else e[i] if j == i + 1 else f[j] if i == j + 1 else 0
+                 for j in range(ncols)] for i in range(k)]
+        lower = [gauss_det([row[i:j] for row in band[i:j]])
+                 for i in range(k) for j in range(i + 1, k + 1) if j - i < k]
+        if min(lower) >= 0 and gauss_det([row[:k] for row in band]) < 0:
+            break
+    m = band + [[rng.randint(0, 3) for _ in range(ncols)] for _ in range(rng.randint(k + 1, 6) - k)]
+    if rng.random() < 0.35:
+        m[rng.randrange(k, len(m))][rng.randrange(ncols)] = -rng.randint(1, 3)
+    if rational:
+        m = [[Fraction(rng.randint(1, 5), rng.randint(1, 5)) * x for x in row] for row in m]
+    return m
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+def test_late_low_order_failure_matches_reference(rational):
+    rng = random.Random(30 + rational)
+    hidden = []
+    for _ in range(40):
+        m = late_low_order_failure(rng, rational)
+        ncols = len(m[0])
+        cleared = clear_rows(m)[0]
+        for r in range(2, 5):
+            r_eff = min(r, len(m), ncols)
+            note = None if r_eff == r else f"r clamped from {r} to {r_eff} (matrix is {len(m)}x{ncols})"
+            expected = naive_first_negative_minor(m, r)
+            assert is_tp_r(m, r).to_dict() == tp_report(r_eff, *(expected or ()), note=note)
+            # a search from a later order finds the least failure of those orders
+            for first in range(2, r_eff + 1):
+                later = naive_first_negative_minor(m, r, first)
+                found = properties._first_negative_minor(cleared, ncols, r_eff, first=first)
+                assert (found and found[:2]) == (later and later[:2])
+            if expected:
+                deeper = naive_first_negative_minor(m, r, len(expected[0]) + 1)
+                hidden.append(deeper is not None and deeper[0] < expected[0])
+    # most cases hide the least failure behind a higher-order one
+    assert sum(hidden) > len(hidden) // 2, sum(hidden)
+
+
+def test_q_tp2_order_one_failure_behind_order_two():
+    # one entry of a row after the first two has a negative coefficient, so
+    # the least failure is of order 1; most draws fail at order 2 before it
+    rng = random.Random(30)
+    behind = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(3, 5), rng.randint(2, 4)
+        m = [[QPoly(rng.randint(0, 3) for _ in range(rng.randint(1, 3))) for _ in range(ncols)]
+             for _ in range(nrows)]
+        i, j = rng.randrange(2, nrows), rng.randrange(ncols)
+        m[i][j] = m[i][j] - QPoly([0] * rng.randint(0, 2) + [rng.randint(4, 9)])
+        rows, cols, index, coeff = naive_q_tp2(m)
+        assert (rows, cols) == ((i,), (j,))
+        assert is_q_tp2(m) == PropertyReport("q-totally-positive-2", (1, 2), FAILS, witness={
+            "rows": rows, "cols": cols, "coeff_index": index, "coeff": coeff})
+        # a search from order 2 finds the least order-2 failure
+        later = naive_q_tp2(m, first=2)
+        found = properties._first_negative_minor(m, ncols, 2, lambda p: min(p.coeffs, default=0),
+                                                 first=2)
+        assert (found and found[:2]) == (later and later[:2])
+        behind += later is not None and later[0] < rows
+    assert behind > 20, behind
 
 
 def random_poly_matrix(rng: random.Random) -> list[list[QPoly]]:
@@ -358,7 +439,7 @@ class TestNevilleRoute:
         # production-matrix certificate refuses it and Neville proves it
         m = [[comb(i + j, i) for j in range(8)] for i in range(8)]
         calls = count_laplace_steps(monkeypatch)
-        assert not properties._production_tp(m, 4)
+        assert properties._production_tp(m, 4) == 0
         assert is_tp_r(m, 4).to_dict() == tp_report(4)
         assert calls == []
 
@@ -718,9 +799,10 @@ def test_production_certificate_matches_reference(case, r):
     else:
         assert is_tp_r(m, r).to_dict() == tp_report(r_eff, *expected, note=note)
     # with a positive diagonal the recovered P is the one T was built from, and
-    # the certificate holds exactly when that P is TP_r
+    # the certificate proves the largest order c <= r for which that P is TP_c
     if p is not None and len(m) > 1 and all(m[j][j] > 0 for j in range(len(m))):
-        assert properties._production_tp(m, r_eff) == (naive_first_negative_minor(p, r) is None)
+        least = naive_first_negative_minor(p, r)
+        assert properties._production_tp(m, r_eff) == (r_eff if least is None else len(least[0]) - 1)
 
 
 class TestProductionRoute:
@@ -731,17 +813,30 @@ class TestProductionRoute:
         # its band of ones has contiguous minors 1, 0 and -1
         calls = count_laplace_steps(monkeypatch)
         assert not properties._totally_nonnegative(self.MOTZKIN)
-        assert properties._production_tp(self.MOTZKIN, 2)
+        assert properties._production_tp(self.MOTZKIN, 2) == 2
         assert is_tp_r(self.MOTZKIN, 2).to_dict() == tp_report(2)
         assert calls == []
 
     def test_motzkin_walks_to_its_witness_at_order_three(self, monkeypatch):
         calls = count_laplace_steps(monkeypatch)
-        assert not properties._production_tp(self.MOTZKIN, 3)
+        assert properties._production_tp(self.MOTZKIN, 3) == 2
         assert is_tp_r(self.MOTZKIN, 3).to_dict() == tp_report(3, (1, 2, 3), (0, 1, 2), -1)
         assert calls
 
+    def test_motzkin_searches_order_three_only(self, monkeypatch):
+        # proved TP2, so only order 3 is searched: 10 prefixes (0, i) that can
+        # still reach 3 rows, 55 tables (0, i, j), then (1, 2) and (1, 2, 3).
+        m = build_preset("motzkin", 11).to_matrix(12, 12)
+        calls = count_laplace_steps(monkeypatch)
+        assert properties._production_tp(m, 4) == 2
+        assert is_tp_r(m, 4).to_dict() == tp_report(4, (1, 2, 3), (0, 1, 2), -1)
+        assert len(calls) == 67
+
     PASCAL = build_preset("pascal", 5).to_matrix(6, 6)
+
+    def test_pascal_is_proved_at_every_order(self):
+        orders = range(1, 7)
+        assert [properties._production_tp(self.PASCAL, r) for r in orders] == list(orders)
 
     @pytest.mark.parametrize("m", [
         build_preset("s_pascal", 5, s=2).to_matrix(6, 6),
@@ -752,7 +847,7 @@ class TestProductionRoute:
     @pytest.mark.parametrize("r", [2, 3])
     def test_refused_inputs_keep_their_report(self, m, r):
         # the certificate does not apply; Neville and the walk decide as before
-        assert not properties._production_tp(clear_rows(m)[0], r)
+        assert properties._production_tp(clear_rows(m)[0], r) == 0
         expected = naive_first_negative_minor(m, r)
         assert is_tp_r(m, r).to_dict() == tp_report(r, *(expected or ()))
 
